@@ -9,8 +9,8 @@ modes         compare rest stiffness and modal frequencies of two specs
 verify-table  closed-form vs finite-difference Lame check for the catalog
 genmesh       write a generated cube/beam mesh file
 
-Exit codes: 0 success, 2 validation error, 3 convergence failure,
-4 verification failure.
+Exit codes: 0 success, 2 validation error (any other library error),
+3 convergence failure or inverted element, 4 verification failure.
 """
 
 import argparse
@@ -21,12 +21,9 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DomainViolationError,
     InvalidParameterError,
-    NonSeparableFamilyError,
-    RestInstabilityError,
+    InvertedElementError,
     StretchlabError,
-    UnreachableTargetError,
 )
 from .lame import (
     IsotropicModuli,
@@ -55,17 +52,8 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
-_VALIDATION_ERRORS = (
-    InvalidParameterError,
-    DomainViolationError,
-    RestInstabilityError,
-    UnreachableTargetError,
-    NonSeparableFamilyError,
-    ValueError,
-    KeyError,
-    json.JSONDecodeError,
-    FileNotFoundError,
-)
+# malformed input that fails before it reaches the library
+_INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError)
 
 
 class VerificationFailure(StretchlabError):
@@ -350,10 +338,10 @@ def main(argv=None):
     except VerificationFailure as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except ConvergenceError as err:
+    except (ConvergenceError, InvertedElementError) as err:
         print(f"convergence failure: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except _VALIDATION_ERRORS as err:
+    except (StretchlabError, *_INPUT_ERRORS) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -85,35 +85,18 @@ VOLUMETRIC_KINDS = ("j_minus_1_sq", "log_j_sq")
 
 
 class LinearCombination(MaterialModel):
-    """Weighted sum of stretch-space energies."""
-
-    family = "combination"
+    """Weighted sum of stretch-space energies: the concatenated term lists."""
 
     def __init__(self, terms):
-        self.terms = [(float(c), m) for c, m in terms]
-        if any(m.domain == "positive" for _, m in self.terms):
-            self.domain = "positive"
-        else:
-            self.domain = "unrestricted"
-        super().__init__({})
-
-    def _modulus_scale(self):
-        return sum(abs(c) * m.modulus_scale for c, m in self.terms) or 1.0
-
-    def _energy(self, s):
-        return sum(c * m.energy(s) for c, m in self.terms)
-
-    def _gradient(self, s):
-        g = np.zeros(3)
-        for c, m in self.terms:
-            g += c * m.gradient(s)
-        return g
-
-    def _hessian(self, s):
-        H = np.zeros((3, 3))
-        for c, m in self.terms:
-            H += c * m.hessian(s)
-        return H
+        terms = [(float(c), m) for c, m in terms]
+        positive = any(m.domain == "positive" for _, m in terms)
+        super().__init__(
+            "combination",
+            {},
+            "positive" if positive else "unrestricted",
+            [(c * k, alpha, term) for c, m in terms for k, alpha, term in m.terms],
+            sum(abs(c) * m.modulus_scale for c, m in terms) or 1.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -206,8 +189,6 @@ class ComposedMaterial(LinearCombination):
     """target.lambda * psi_lambda filtered at alpha_lambda
     + target.mu * psi_mu filtered at alpha_mu."""
 
-    family = "composed"
-
     def __init__(self, mu_part, lambda_part, lame, alpha_mu=1.0, alpha_lambda=1.0):
         self.mu_part = mu_part
         self.lambda_part = lambda_part
@@ -220,6 +201,7 @@ class ComposedMaterial(LinearCombination):
                 (lame.mu_lame, FilteredMaterial(mu_part.model, alpha_mu)),
             ]
         )
+        self.family = "composed"
 
     def lame_closed_form(self):
         return (self.lame.lambda_lame, self.lame.mu_lame)

@@ -30,7 +30,7 @@ class InvertedElementError(StretchlabError):
 
     def __init__(self, element_index, message=None):
         self.element_index = element_index
-        super().__init__(message or f"element {element_index} is inverted or out of domain")
+        super().__init__(f"element {element_index}: {message or 'inverted or out of domain'}")
 
 
 class ConvergenceError(StretchlabError):

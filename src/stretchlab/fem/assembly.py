@@ -196,15 +196,7 @@ def free_dof_indices(mesh, bc):
     return np.nonzero(mask)[0]
 
 
-def assemble(
-    mesh,
-    material,
-    positions=None,
-    bc=None,
-    project=False,
-    basis=None,
-    jacobian_method="analytic",
-):
+def assemble(mesh, material, positions=None, bc=None, project=False, basis=None):
     """Assemble force, tangent stiffness and lumped mass.
 
     Matrices cover all coordinates; when ``bc`` is given the result also
@@ -219,8 +211,6 @@ def assemble(
     bc : BoundaryCondition, optional
     project : bool
         Clamp each element Hessian positive semidefinite (Newton use).
-    jacobian_method : {"analytic", "fd"}
-        dP/dF path; "fd" is the slow oracle.
 
     Raises
     ------
@@ -249,10 +239,7 @@ def assemble(
             raise InvertedElementError(e, str(err)) from err
         P = assemble_pk1(svd, g)
         G = basis.G[e]
-        if jacobian_method == "fd":
-            dPdF = element_stress_jacobian(material, F, method="fd")
-        else:
-            dPdF = stress_jacobian_from_svd(svd, g, H, project=project)
+        dPdF = stress_jacobian_from_svd(svd, g, H, project=project)
         fe = -vol * (G.T @ P.reshape(9))
         Ke = vol * (G.T @ dPdF @ G)
         dofs = np.concatenate([3 * v + np.arange(3) for v in mesh.tets[e]])

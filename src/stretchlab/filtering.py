@@ -4,13 +4,17 @@ The filtered energy is psi_alpha(l) = psi(l^alpha) / alpha^2 for
 alpha > 0. Its rest Hessian equals the base's, so the Lame parameters
 (and hence the small-deformation response) are unchanged, while the
 large-deformation response softens for alpha < 1 and stiffens for
-alpha > 1. Applying it to the Linear Corotational material reproduces
-the Seth-Hill family; alpha = 2 gives St. Venant-Kirchhoff.
+alpha > 1.
+
+A material is a list of (coef, alpha, term) entries evaluated as
+coef * term(l^alpha) / alpha^2, so filtering multiplies every entry's
+exponent by alpha and evaluates nothing itself; filters compose
+multiplicatively. Applied to the Linear Corotational material this is
+the Seth-Hill family, which the catalog builds the same way; alpha = 2
+gives St. Venant-Kirchhoff.
 """
 
 import warnings
-
-import numpy as np
 
 from .errors import InvalidParameterError
 from .materials import MaterialModel
@@ -25,10 +29,10 @@ class FilteredMaterial(MaterialModel):
 
     The domain is strictly positive stretches regardless of the base,
     since l^alpha is undefined for negative l and non-integer alpha;
-    evaluation at l_i <= 0 is a hard error.
+    evaluation at l_i <= 0 is a hard error. The base's closed-form Lame
+    pair carries over only when its rest gradient vanishes, since only
+    then does the filter preserve the rest Hessian.
     """
-
-    domain = "positive"
 
     def __init__(self, base, alpha):
         alpha = float(alpha)
@@ -42,37 +46,16 @@ class FilteredMaterial(MaterialModel):
             )
         self.base = base
         self.alpha = alpha
-        self.family = f"filtered:{base.family}"
-        super().__init__({"alpha": alpha})
-
-    def _modulus_scale(self):
-        return self.base.modulus_scale
-
-    def _energy(self, s):
-        return self.base.energy(s**self.alpha) / self.alpha**2
-
-    def _gradient(self, s):
-        a = self.alpha
-        return s ** (a - 1.0) * self.base.gradient(s**a) / a
-
-    def _hessian(self, s):
-        a = self.alpha
-        sa = s**a
-        g = self.base.gradient(sa)
-        H = self.base.hessian(sa)
-        w = s ** (a - 1.0)
-        out = H * np.outer(w, w)
-        out[np.diag_indices(3)] += (a - 1.0) / a * s ** (a - 2.0) * g
-        return out
-
-    def lame_closed_form(self):
-        # the filter preserves the rest Hessian only when the rest
-        # gradient vanishes; otherwise fall back to the analytic Hessian
-        if self.base.rest_stable:
-            return self.base.lame_closed_form()
-        return None
+        super().__init__(
+            f"filtered:{base.family}",
+            {"alpha": alpha},
+            "positive",
+            [(c, a * alpha, term) for c, a, term in base.terms],
+            base.modulus_scale,
+            base.lame_closed_form() if base.rest_stable else None,
+        )
 
 
 def filter_nonlinearity(base, alpha):
-    """Wrap a material with the nonlinearity exponent alpha > 0."""
+    """The material psi(l^alpha) / alpha^2 for alpha > 0."""
     return FilteredMaterial(base, alpha)

@@ -225,7 +225,7 @@ def normalize(family, target, policy="hold-at-default", baseline=None):
         from .profiles import get_profile
 
         g = baseline.get("g", "scaled:0:power_well:2")
-        g2 = get_profile(g).d2(1.0)
+        g2 = float(get_profile(g).d2(1.0))
         return {
             "f": f"scaled:{2.0 * muL - g2!r}:stretch_well",
             "g": g,

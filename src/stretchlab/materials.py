@@ -1,24 +1,32 @@
-"""Catalog of stretch-based isotropic hyperelastic energies.
+"""Catalog of stretch-based isotropic hyperelastic energies as term lists.
 
-Every family exposes the energy density as a symmetric function of the
-three principal stretches, together with analytic stretch-gradient and
-stretch-Hessian. All evaluation happens in principal-stretch space; the
-matrix forms some families are usually written in (e.g. ARAP's distance to
-the rotation group) are documentation only.
+Every energy is a symmetric function of the three principal stretches l.
+A :class:`MaterialModel` is a flat list of ``(coef, alpha, term)`` entries
+with energy sum coef * term(l^alpha) / alpha^2, where a term is one of the
+kinds of ``terms`` (separable, volumetric, Hill coupling, pair, and the
+product that gives Mooney-Rivlin). The exponent alpha is the nonlinearity
+filter, so filtering, combining and composing materials only rewrite the
+list, and the chain rule of the filter lives in one place,
+``MaterialModel._evaluate``. Seth-Hill is the Linear Corotational list at
+alpha, and St. Venant-Kirchhoff the same list at alpha = 2.
 
-Families whose written form carries a rest stress (Ogden with one-signed
-coefficients, Mooney-Rivlin off the C2 = -C1/2 line) are constructed
-normally but flagged ``rest_stable=False``; Lame extraction from the rest
-Hessian is still well defined for them.
+Each family is one row of ``_FAMILIES``: parameter schema, term builder,
+closed-form Lame pair, domain, parameters that must be positive and
+modulus-scale rule. Families whose written form carries a rest stress
+(Ogden with one-signed coefficients, Mooney-Rivlin off C2 = -C1/2) are
+flagged ``rest_stable=False``; their rest-Hessian Lame extraction is still
+well defined.
 """
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainViolationError, InvalidParameterError
-from .profiles import Profile, get_profile
+from .profiles import Profile, get_profile, half_square
+from .terms import HillCoupling, Pair, Product, Separable, Volumetric
 
 __all__ = [
     "MaterialModel",
@@ -33,6 +41,13 @@ __all__ = [
 REST_STABILITY_RTOL = 1e-8
 
 _REST = np.ones(3)
+_EYE = np.eye(3)
+
+
+def _derivative(terms, x, order):
+    """sum coef * (value, gradient or Hessian) of the terms at x."""
+    kind = ("value", "grad", "hess")[order]
+    return sum(c * getattr(t, kind)(x) for c, t in terms)
 
 
 class MaterialModel:
@@ -41,72 +56,82 @@ class MaterialModel:
     Attributes
     ----------
     family : str
-        Catalog identifier (lower_snake_case).
+        Catalog identifier (lower_snake_case), or a derived label.
     params : dict
         The family's parameter record.
     domain : {"positive", "unrestricted"}
         Validity domain of the stretches.
+    terms : list of (coef, alpha, term)
+        The energy sum coef * term(l^alpha) / alpha^2.
     modulus_scale : float
         Characteristic stress magnitude, used to scale tolerances.
     rest_stable : bool
         True when the gradient vanishes at (1, 1, 1).
     """
 
-    family = "material"
-    domain = "positive"
-
-    def __init__(self, params):
+    def __init__(self, family, params, domain, terms, modulus_scale, lame=None):
+        self.family = family
         self.params = dict(params)
-        self.modulus_scale = self._modulus_scale()
+        self.domain = domain
+        self.terms = list(terms)
+        self.modulus_scale = modulus_scale
+        self._lame = lame
+        groups = {}
+        for coef, alpha, term in self.terms:
+            groups.setdefault(float(alpha), []).append((float(coef), term))
+        self._groups = list(groups.items())
         g0 = self.gradient(_REST)
         self.rest_stable = bool(
             np.max(np.abs(g0)) <= REST_STABILITY_RTOL * max(1.0, self.modulus_scale)
         )
 
-    # -- subclass surface -------------------------------------------------
-
-    def _energy(self, s):
-        raise NotImplementedError
-
-    def _gradient(self, s):
-        raise NotImplementedError
-
-    def _hessian(self, s):
-        raise NotImplementedError
-
-    def _modulus_scale(self):
-        return max(abs(float(v)) for v in self.params.values()) if self.params else 1.0
-
-    # -- public evaluation ------------------------------------------------
+    def _evaluate(self, s, order):
+        s = np.asarray(s, dtype=float)
+        self.check_domain(s)
+        out = np.zeros((3,) * order)
+        for alpha, terms in self._groups:
+            if alpha == 1.0:
+                out += _derivative(terms, s, order)
+                continue
+            # the nonlinearity filter psi(l^alpha) / alpha^2, by the chain rule
+            x = s**alpha
+            if order == 0:
+                out += _derivative(terms, x, 0) / alpha**2
+                continue
+            w = s ** (alpha - 1.0)
+            if order == 1:
+                out += w * _derivative(terms, x, 1) / alpha
+            else:
+                out += _derivative(terms, x, 2) * (w[:, None] * w)
+                out += (alpha - 1.0) / alpha * s ** (alpha - 2.0) * _derivative(terms, x, 1) * _EYE
+        return out
 
     def check_domain(self, s):
-        if self.domain == "positive" and np.min(s) <= 0.0:
+        s = np.asarray(s, dtype=float)
+        v = s.ravel().tolist()
+        if not all(map(math.isfinite, v)):
+            raise DomainViolationError(f"{self.family} requires finite stretches, got {s}")
+        if self.domain == "positive" and min(v) <= 0.0:
             raise DomainViolationError(
-                f"{self.family} requires strictly positive stretches, got {np.asarray(s)}"
+                f"{self.family} requires strictly positive stretches, got {s}"
             )
 
     def energy(self, s):
-        s = np.asarray(s, dtype=float)
-        self.check_domain(s)
-        return float(self._energy(s))
+        return float(self._evaluate(s, 0))
 
     def gradient(self, s):
-        s = np.asarray(s, dtype=float)
-        self.check_domain(s)
-        return np.asarray(self._gradient(s), dtype=float)
+        return self._evaluate(s, 1)
 
     def hessian(self, s):
-        s = np.asarray(s, dtype=float)
-        self.check_domain(s)
-        H = np.asarray(self._hessian(s), dtype=float)
+        H = self._evaluate(s, 2)
         return 0.5 * (H + H.T)
 
     def lame_closed_form(self) -> Optional[tuple]:
         """Table closed form (lambda_lame, mu_lame), or None if unknown."""
-        return None
+        return self._lame
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.params})"
+        return f"MaterialModel({self.family!r}, {self.params})"
 
 
 def evaluate(model, s):
@@ -116,702 +141,214 @@ def evaluate(model, s):
 
 
 # ---------------------------------------------------------------------------
-# Seth-Hill / Hill profile family:  mu * sum f(l_i)^2 + lam/2 * (sum f(l_i))^2
-
-
-class _HillType(MaterialModel):
-    """Shared evaluator for energies of Hill form with profile f."""
-
-    def __init__(self, params, profile, mu, lam, domain):
-        self._f = profile
-        self._mu = float(mu)
-        self._lam = float(lam)
-        self.domain = domain
-        if self._mu <= 0.0:
-            raise InvalidParameterError(f"{self.family}: mu must be positive")
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return max(abs(self._mu), abs(self._lam), 1e-300)
-
-    def _energy(self, s):
-        f = np.array([self._f.value(x) for x in s])
-        return self._mu * np.sum(f**2) + 0.5 * self._lam * np.sum(f) ** 2
-
-    def _gradient(self, s):
-        f = np.array([self._f.value(x) for x in s])
-        fp = np.array([self._f.d1(x) for x in s])
-        return 2.0 * self._mu * f * fp + self._lam * np.sum(f) * fp
-
-    def _hessian(self, s):
-        f = np.array([self._f.value(x) for x in s])
-        fp = np.array([self._f.d1(x) for x in s])
-        fpp = np.array([self._f.d2(x) for x in s])
-        F = np.sum(f)
-        H = self._lam * np.outer(fp, fp)
-        H[np.diag_indices(3)] += 2.0 * self._mu * (fp**2 + f * fpp) + self._lam * F * fpp
-        return H
-
-    def lame_closed_form(self):
-        return (self._lam, self._mu)
-
-
-def _get(params, family, required, optional=()):
-    unknown = set(params) - set(required) - set(optional)
-    if unknown:
-        raise InvalidParameterError(f"{family}: unknown parameters {sorted(unknown)}")
-    missing = set(required) - set(params)
-    if missing:
-        raise InvalidParameterError(f"{family}: missing parameters {sorted(missing)}")
-
-
-class LinearCorotational(_HillType):
-    family = "linear_corotational"
-    domain = "unrestricted"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        super().__init__(params, get_profile("power:1"), params["mu"], params["lam"], "unrestricted")
-
-
-class StVenantKirchhoff(_HillType):
-    family = "st_venant_kirchhoff"
-    domain = "unrestricted"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        f = Profile("half_sq_minus_1", lambda x: 0.5 * (x * x - 1.0), lambda x: x, lambda x: 1.0)
-        super().__init__(params, f, params["mu"], params["lam"], "unrestricted")
-
-
-class Hencky(_HillType):
-    family = "hencky"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        super().__init__(params, get_profile("log"), params["mu"], params["lam"], "positive")
-
-
-class SethHill(_HillType):
-    family = "seth_hill"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam", "alpha"))
-        alpha = float(params["alpha"])
-        if alpha == 0.0:
-            raise InvalidParameterError("seth_hill: alpha must be nonzero (alpha -> 0 is hencky)")
-        super().__init__(params, get_profile(f"power:{alpha!r}"), params["mu"], params["lam"], "positive")
-
-
-class SymmetricSethHill(_HillType):
-    family = "symmetric_seth_hill"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam", "alpha"))
-        a = float(params["alpha"])
-        if a == 0.0:
-            raise InvalidParameterError("symmetric_seth_hill: alpha must be nonzero")
-        f = Profile(
-            f"sym_power:{a:g}",
-            lambda x: (x**a - x**-a) / (2.0 * a),
-            lambda x: (x ** (a - 1.0) + x ** (-a - 1.0)) / 2.0,
-            lambda x: ((a - 1.0) * x ** (a - 2.0) - (a + 1.0) * x ** (-a - 2.0)) / 2.0,
-        )
-        super().__init__(params, f, params["mu"], params["lam"], "positive")
-
-
-class Hill(_HillType):
-    family = "hill"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam", "f"))
-        f = get_profile(params["f"])
-        f.check_hill()
-        super().__init__(params, f, params["mu"], params["lam"], "positive")
-
-
-# ---------------------------------------------------------------------------
-# Neo-Hookean variants
-
-
-class _NeoHookeanBase(MaterialModel):
-    """mu/2 (I1 - 3) - mu * dev(J) + lam/2 * vol(J) [+ quartic STS term].
-
-    ``dev`` is log(J) or (J - 1); ``vol`` is log^2(J) or (J - 1)^2.
-    """
-
-    _dev = "log"  # or "jm1"
-    _vol = "log_sq"  # or "jm1_sq"
-
-    def __init__(self, **params):
-        self._mu = float(params["mu"])
-        self._lam = float(params["lam"])
-        self._mu4 = float(params.get("mu4", 0.0))
-        if self._mu <= 0.0:
-            raise InvalidParameterError(f"{self.family}: mu must be positive")
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return max(abs(self._mu), abs(self._lam), abs(self._mu4), 1e-300)
-
-    def _energy(self, s):
-        l1, l2, l3 = s
-        J = l1 * l2 * l3
-        e = 0.5 * self._mu * (l1 * l1 + l2 * l2 + l3 * l3 - 3.0)
-        e -= self._mu * (math.log(J) if self._dev == "log" else J - 1.0)
-        e += 0.5 * self._lam * (math.log(J) ** 2 if self._vol == "log_sq" else (J - 1.0) ** 2)
-        if self._mu4:
-            e += self._mu4 / 8.0 * np.sum((s * s - 1.0) ** 4)
-        return e
-
-    def _gradient(self, s):
-        J = float(np.prod(s))
-        a = np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])  # dJ/dl_i
-        g = self._mu * s
-        g -= self._mu * (1.0 / s if self._dev == "log" else a)
-        if self._vol == "log_sq":
-            g += self._lam * math.log(J) / s
-        else:
-            g += self._lam * (J - 1.0) * a
-        if self._mu4:
-            g += self._mu4 * s * (s * s - 1.0) ** 3
-        return g
-
-    def _hessian(self, s):
-        J = float(np.prod(s))
-        a = np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
-        # cross[i, j] = d^2 J / dl_i dl_j  (= l_k off-diagonal, 0 on it)
-        cross = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    cross[i, j] = s[3 - i - j]
-        H = self._mu * np.eye(3)
-        if self._dev == "log":
-            H += np.diag(self._mu / s**2)
-        else:
-            H -= self._mu * cross
-        if self._vol == "log_sq":
-            logJ = math.log(J)
-            Hv = self._lam / np.outer(s, s)
-            Hv[np.diag_indices(3)] = self._lam * (1.0 - logJ) / s**2
-            H += Hv
-        else:
-            H += self._lam * np.outer(a, a) + self._lam * (J - 1.0) * cross
-        if self._mu4:
-            q = s * s - 1.0
-            H += np.diag(self._mu4 * q * q * (7.0 * s * s - 1.0))
-        return H
-
-
-class NeoHookean(_NeoHookeanBase):
-    family = "neo_hookean"
-    domain = "positive"
-    _dev, _vol = "log", "log_sq"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        super().__init__(**params)
-
-    def lame_closed_form(self):
-        return (self._lam, self._mu)
-
-
-class NeoHookeanOgden(_NeoHookeanBase):
-    family = "neo_hookean_ogden"
-    domain = "positive"
-    _dev, _vol = "log", "jm1_sq"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        super().__init__(**params)
-
-    def lame_closed_form(self):
-        return (self._lam, self._mu)
-
-
-class StableNeoHookean(_NeoHookeanBase):
-    family = "stable_neo_hookean"
-    domain = "unrestricted"
-    _dev, _vol = "jm1", "jm1_sq"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        super().__init__(**params)
-
-    def lame_closed_form(self):
-        return (self._lam - self._mu, self._mu)
-
-
-class STS(_NeoHookeanBase):
-    family = "sts"
-    domain = "positive"
-    _dev, _vol = "log", "log_sq"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam", "mu4"))
-        super().__init__(**params)
-
-    def lame_closed_form(self):
-        return (self._lam, self._mu)
-
-
-# ---------------------------------------------------------------------------
-# Valanis-Landel family
-
-
-class ValanisLandelOriginal(MaterialModel):
-    """2 mu sum (l_i (log l_i - 1) + 1) + lam/2 log^2 J.
-
-    The written form has rest energy -6 mu; the constant +1 per component
-    shifts it to zero without changing any derivative.
-    """
-
-    family = "valanis_landel_original"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu", "lam"))
-        self._mu = float(params["mu"])
-        self._lam = float(params["lam"])
-        if self._mu <= 0.0:
-            raise InvalidParameterError("valanis_landel_original: mu must be positive")
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return max(abs(self._mu), abs(self._lam))
-
-    def _energy(self, s):
-        logs = np.log(s)
-        return 2.0 * self._mu * float(np.sum(s * (logs - 1.0) + 1.0)) + 0.5 * self._lam * float(
-            np.sum(logs)
-        ) ** 2
-
-    def _gradient(self, s):
-        logs = np.log(s)
-        return 2.0 * self._mu * logs + self._lam * np.sum(logs) / s
-
-    def _hessian(self, s):
-        logJ = float(np.sum(np.log(s)))
-        H = self._lam / np.outer(s, s)
-        H[np.diag_indices(3)] = 2.0 * self._mu / s + self._lam * (1.0 - logJ) / s**2
-        return H
-
-    def lame_closed_form(self):
-        return (self._lam, self._mu)
-
-
-class ValanisLandelNew(MaterialModel):
-    """sum f(l_i) + h(J) with well-contract profiles f, h."""
-
-    family = "valanis_landel_new"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("f", "h"))
-        self._pf = get_profile(params["f"])
-        self._ph = get_profile(params["h"])
-        self._pf.check_well()
-        self._ph.check_well()
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return max(abs(self._pf.d2(1.0)), abs(self._ph.d2(1.0)), 1e-300)
-
-    def _energy(self, s):
-        J = float(np.prod(s))
-        return sum(self._pf.value(x) for x in s) + self._ph.value(J)
-
-    def _gradient(self, s):
-        J = float(np.prod(s))
-        a = np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
-        return np.array([self._pf.d1(x) for x in s]) + self._ph.d1(J) * a
-
-    def _hessian(self, s):
-        J = float(np.prod(s))
-        a = np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
-        hp, hpp = self._ph.d1(J), self._ph.d2(J)
-        H = hpp * np.outer(a, a)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    H[i, j] += hp * s[3 - i - j]
-        H[np.diag_indices(3)] += np.array([self._pf.d2(x) for x in s])
-        return H
-
-    def lame_closed_form(self):
-        return (self._ph.d2(1.0), 0.5 * self._pf.d2(1.0))
-
-
-class ValanisLandelXu(MaterialModel):
-    """sum f(l_i) + sum over unordered pairs g(l_i l_j) + h(J).
-
-    The pair sum runs over the three distinct pairs {1,2}, {1,3}, {2,3};
-    this is the reading under which the closed-form Lame entries hold.
-    """
-
-    family = "valanis_landel_xu"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("f", "g", "h"))
-        self._pf = get_profile(params["f"])
-        self._pg = get_profile(params["g"])
-        self._ph = get_profile(params["h"])
-        for p in (self._pf, self._pg, self._ph):
-            p.check_well()
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return max(
-            abs(self._pf.d2(1.0)), abs(self._pg.d2(1.0)), abs(self._ph.d2(1.0)), 1e-300
-        )
-
-    _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-    def _energy(self, s):
-        J = float(np.prod(s))
-        e = sum(self._pf.value(x) for x in s) + self._ph.value(J)
-        for i, j in self._PAIRS:
-            e += self._pg.value(s[i] * s[j])
-        return e
-
-    def _gradient(self, s):
-        J = float(np.prod(s))
-        a = np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
-        g = np.array([self._pf.d1(x) for x in s]) + self._ph.d1(J) * a
-        for i, j in self._PAIRS:
-            gp = self._pg.d1(s[i] * s[j])
-            g[i] += gp * s[j]
-            g[j] += gp * s[i]
-        return g
-
-    def _hessian(self, s):
-        J = float(np.prod(s))
-        a = np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
-        hp, hpp = self._ph.d1(J), self._ph.d2(J)
-        H = hpp * np.outer(a, a)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    H[i, j] += hp * s[3 - i - j]
-        H[np.diag_indices(3)] += np.array([self._pf.d2(x) for x in s])
-        for i, j in self._PAIRS:
-            x = s[i] * s[j]
-            gp, gpp = self._pg.d1(x), self._pg.d2(x)
-            H[i, i] += gpp * s[j] ** 2
-            H[j, j] += gpp * s[i] ** 2
-            H[i, j] += gpp * x + gp
-            H[j, i] += gpp * x + gp
-        return H
-
-    def lame_closed_form(self):
-        g2, h2, f2 = self._pg.d2(1.0), self._ph.d2(1.0), self._pf.d2(1.0)
-        return (g2 + h2, 0.5 * (f2 + g2))
-
-
-class PengLandel(MaterialModel):
-    """E sum (l - 1 - log l - log^2 l / 6 + log^3 l / 18 - log^4 l / 216)."""
-
-    family = "peng_landel"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("E",))
-        self._E = float(params["E"])
-        if self._E <= 0.0:
-            raise InvalidParameterError("peng_landel: E must be positive")
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return abs(self._E)
-
-    def _energy(self, s):
-        t = np.log(s)
-        return self._E * float(
-            np.sum(s - 1.0 - t - t**2 / 6.0 + t**3 / 18.0 - t**4 / 216.0)
-        )
-
-    def _gradient(self, s):
-        t = np.log(s)
-        return self._E * (1.0 - (1.0 + t / 3.0 - t**2 / 6.0 + t**3 / 54.0) / s)
-
-    def _hessian(self, s):
-        t = np.log(s)
-        d = self._E / s**2 * (2.0 / 3.0 + 2.0 * t / 3.0 - 2.0 * t**2 / 9.0 + t**3 / 54.0)
-        return np.diag(d)
-
-    def lame_closed_form(self):
-        return (0.0, self._E / 3.0)
-
-
-# ---------------------------------------------------------------------------
-# Geometry-processing energies
-
-
-class ARAP(MaterialModel):
-    """sum (l_i - 1)^2; the stretch form of the distance to rotations."""
-
-    family = "arap"
-    domain = "unrestricted"
-
-    def __init__(self, **params):
-        _get(params, self.family, ())
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return 1.0
-
-    def _energy(self, s):
-        return float(np.sum((s - 1.0) ** 2))
-
-    def _gradient(self, s):
-        return 2.0 * (s - 1.0)
-
-    def _hessian(self, s):
-        return 2.0 * np.eye(3)
-
-    def lame_closed_form(self):
-        return (0.0, 1.0)
-
-
-class SymmetricARAP(MaterialModel):
-    """mu/2 sum ((l_i - 1)^2 + (1 - 1/l_i)^2)."""
-
-    family = "symmetric_arap"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("mu",))
-        self._mu = float(params["mu"])
-        if self._mu <= 0.0:
-            raise InvalidParameterError("symmetric_arap: mu must be positive")
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return abs(self._mu)
-
-    def _energy(self, s):
-        return 0.5 * self._mu * float(np.sum((s - 1.0) ** 2 + (1.0 - 1.0 / s) ** 2))
-
-    def _gradient(self, s):
-        return self._mu * (s - 1.0) * (1.0 + 1.0 / s**3)
-
-    def _hessian(self, s):
-        return np.diag(self._mu * (1.0 + 1.0 / s**3 - 3.0 * (s - 1.0) / s**4))
-
-    def lame_closed_form(self):
-        return (0.0, self._mu)
-
-
-class SymmetricDirichlet(MaterialModel):
-    """1/2 sum (l_i - 1/l_i)^2."""
-
-    family = "symmetric_dirichlet"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ())
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return 1.0
-
-    def _energy(self, s):
-        return 0.5 * float(np.sum((s - 1.0 / s) ** 2))
-
-    def _gradient(self, s):
-        return (s - 1.0 / s) * (1.0 + 1.0 / s**2)
-
-    def _hessian(self, s):
-        return np.diag((1.0 + 1.0 / s**2) ** 2 - 2.0 * (s - 1.0 / s) / s**3)
-
-    def lame_closed_form(self):
-        return (0.0, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Ogden and Mooney-Rivlin
-
-
-class Ogden(MaterialModel):
-    """sum_p mu_p / alpha_p (l_1^a_p + l_2^a_p + l_3^a_p - 3).
-
-    ``terms`` is a nonempty list of [mu_p, alpha_p] pairs. Coefficients of
-    either sign are accepted; with one-signed coefficients the written form
-    carries a rest stress (sum of mu_p per component) and the model is
-    flagged rest-unstable.
-    """
-
-    family = "ogden"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("terms",))
-        terms = [(float(m), float(a)) for m, a in params["terms"]]
-        if not terms:
-            raise InvalidParameterError("ogden: terms must be a nonempty list")
-        for m, a in terms:
-            if a == 0.0:
-                raise InvalidParameterError("ogden: exponents must be nonzero")
-            if m == 0.0:
-                raise InvalidParameterError("ogden: coefficients must be nonzero")
-        self._terms = terms
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return sum(abs(m) for m, _ in self._terms)
-
-    def _energy(self, s):
-        return sum(m / a * (float(np.sum(s**a)) - 3.0) for m, a in self._terms)
-
-    def _gradient(self, s):
-        g = np.zeros(3)
-        for m, a in self._terms:
-            g += m * s ** (a - 1.0)
-        return g
-
-    def _hessian(self, s):
-        d = np.zeros(3)
-        for m, a in self._terms:
-            d += m * (a - 1.0) * s ** (a - 2.0)
-        return np.diag(d)
-
-    def lame_closed_form(self):
-        return (0.0, 0.5 * sum(m * (a - 1.0) for m, a in self._terms))
-
-
-class MooneyRivlin(MaterialModel):
-    """C1 J^(-2/3) (I1 - 3) + C2 J^(-4/3) (I2 - 3).
-
-    I2 is the cyclic pair sum l1^2 l2^2 + l2^2 l3^2 + l3^2 l1^2. The rest
-    gradient of this written form is 2 C1 + 4 C2 per component, so the
-    model is rest-stable only on the line C2 = -C1/2; elsewhere it is
-    flagged. The rest Hessian, and hence the Lame entries, are well
-    defined either way.
-    """
-
-    family = "mooney_rivlin"
-    domain = "positive"
-
-    def __init__(self, **params):
-        _get(params, self.family, ("c1", "c2"))
-        self._c1 = float(params["c1"])
-        self._c2 = float(params["c2"])
-        if self._c1 <= 0.0:
-            raise InvalidParameterError("mooney_rivlin: c1 must be positive")
-        super().__init__(params)
-
-    def _modulus_scale(self):
-        return max(abs(self._c1), abs(self._c2))
-
-    @staticmethod
-    def _invariants(s):
-        J = float(np.prod(s))
-        I1 = float(np.sum(s * s))
-        sq = s * s
-        I2 = sq[0] * sq[1] + sq[1] * sq[2] + sq[2] * sq[0]
-        return J, I1, I2
-
-    def _energy(self, s):
-        J, I1, I2 = self._invariants(s)
-        return self._c1 * J ** (-2.0 / 3.0) * (I1 - 3.0) + self._c2 * J ** (-4.0 / 3.0) * (
-            I2 - 3.0
-        )
-
-    def _gradient(self, s):
-        J, I1, I2 = self._invariants(s)
-        u = J ** (-2.0 / 3.0)
-        w = J ** (-4.0 / 3.0)
-        sq = s * s
-        dI1 = 2.0 * s
-        dI2 = 2.0 * s * np.array([sq[1] + sq[2], sq[0] + sq[2], sq[0] + sq[1]])
-        return self._c1 * (-2.0 / 3.0 * u / s * (I1 - 3.0) + u * dI1) + self._c2 * (
-            -4.0 / 3.0 * w / s * (I2 - 3.0) + w * dI2
-        )
-
-    def _hessian(self, s):
-        J, I1, I2 = self._invariants(s)
-        u = J ** (-2.0 / 3.0)
-        w = J ** (-4.0 / 3.0)
-        sq = s * s
-        du = -2.0 / 3.0 * u / s
-        dw = -4.0 / 3.0 * w / s
-        # second derivatives of u = J^(-2/3) and w = J^(-4/3)
-        d2u = 4.0 / 9.0 * u / np.outer(s, s)
-        d2u[np.diag_indices(3)] = 10.0 / 9.0 * u / sq
-        d2w = 16.0 / 9.0 * w / np.outer(s, s)
-        d2w[np.diag_indices(3)] = 28.0 / 9.0 * w / sq
-        dI1 = 2.0 * s
-        d2I1 = 2.0 * np.eye(3)
-        other = np.array([sq[1] + sq[2], sq[0] + sq[2], sq[0] + sq[1]])
-        dI2 = 2.0 * s * other
-        d2I2 = 4.0 * np.outer(s, s)
-        d2I2[np.diag_indices(3)] = 2.0 * other
-        H = self._c1 * (
-            d2u * (I1 - 3.0) + np.outer(du, dI1) + np.outer(dI1, du) + u * d2I1
-        )
-        H += self._c2 * (
-            d2w * (I2 - 3.0) + np.outer(dw, dI2) + np.outer(dI2, dw) + w * d2I2
-        )
-        return H
-
-    def lame_closed_form(self):
-        return (-4.0 / 3.0 * (2.0 * self._c1 + 5.0 * self._c2), self._c1)
+# Family profiles and term builders
+
+_LINEAR = Profile("x_minus_1", lambda x: x - 1.0, lambda x: 0.0 * x + 1.0, lambda x: 0.0 * x)
+_SQUARE = get_profile("scaled:2:j_minus_1_sq")  # (x - 1)^2
+_SQ_MINUS_1 = get_profile("scaled:2:power:2")  # x^2 - 1
+_LOG = get_profile("log")
+_INVERSE = Profile("1_minus_1/x", lambda x: 1.0 - 1.0 / x, lambda x: x**-2, lambda x: -2.0 * x**-3)
+_SYM_DIRICHLET = half_square(
+    Profile("x_minus_1/x", lambda x: x - 1.0 / x, lambda x: 1.0 + x**-2, lambda x: -2.0 * x**-3)
+)
+_QUARTIC = half_square(half_square(_SQ_MINUS_1))  # (x^2 - 1)^4 / 8
+# the constant +1 shifts the written form's rest energy -1 per stretch to zero
+_VL_STRETCH = Profile("x_log_x", lambda x: x * (np.log(x) - 1.0) + 1.0, np.log, lambda x: 1.0 / x)
+# x - 1 - t - t^2/6 + t^3/18 - t^4/216 with t = log x, as polynomials in t
+_PENG_LANDEL = Profile(
+    "peng_landel",
+    lambda x: x - 1.0 - np.polyval([1 / 216, -1 / 18, 1 / 6, 1.0, 0.0], np.log(x)),
+    lambda x: 1.0 - np.polyval([1 / 54, -1 / 6, 1 / 3, 1.0], np.log(x)) / x,
+    lambda x: np.polyval([1 / 54, -2 / 9, 2 / 3, 2 / 3], np.log(x)) / x**2,
+)
+# the J-terms of the neo-Hookean variants
+_LOG_J = Separable(_LOG)  # sum_i log l_i = log J
+_LOG_J_SQ = HillCoupling(_LOG)  # (sum_i log l_i)^2 = log^2 J
+_J_MINUS_1 = Volumetric(_LINEAR)
+_J_MINUS_1_SQ = Volumetric(_SQUARE)
+
+
+def _sym_power(a):
+    """(x^a - x^-a) / (2a), the symmetric Seth-Hill strain."""
+    return Profile(
+        f"sym_power:{a:g}",
+        lambda x: (x**a - x**-a) / (2.0 * a),
+        lambda x: (x ** (a - 1.0) + x ** (-a - 1.0)) / 2.0,
+        lambda x: ((a - 1.0) * x ** (a - 2.0) - (a + 1.0) * x ** (-a - 2.0)) / 2.0,
+    )
+
+
+def _j_power(p):
+    """The volumetric term J^p."""
+    d1, d2 = (lambda x: p * x ** (p - 1.0)), (lambda x: p * (p - 1.0) * x ** (p - 2.0))
+    return Volumetric(Profile(f"x^{p:g}", lambda x: x**p, d1, d2))
+
+
+def _hill(p, f, alpha=1.0):
+    """mu sum f(l_i)^2 + lam/2 (sum f(l_i))^2, at filter exponent alpha."""
+    return [
+        (2.0 * float(p["mu"]), alpha, Separable(half_square(f))),
+        (0.5 * float(p["lam"]), alpha, HillCoupling(f)),
+    ]
+
+
+def _neo_hookean(p, dev, vol):
+    """mu/2 (I1 - 3) - mu dev + lam/2 vol [+ mu4/8 sum (l_i^2 - 1)^4]."""
+    mu, lam = float(p["mu"]), float(p["lam"])
+    terms = [(0.5 * mu, 1.0, Separable(_SQ_MINUS_1)), (-mu, 1.0, dev), (0.5 * lam, 1.0, vol)]
+    if "mu4" in p:
+        terms.append((float(p["mu4"]), 1.0, Separable(_QUARTIC)))
+    return terms
+
+
+def _exponent(p):
+    a = float(p["alpha"])
+    if a == 0.0:
+        raise InvalidParameterError("alpha must be nonzero (alpha -> 0 is hencky)")
+    return a
+
+
+def _ogden(p):
+    terms = [(float(m), float(a)) for m, a in p["terms"]]
+    if not terms:
+        raise InvalidParameterError("terms must be a nonempty list")
+    if any(a == 0.0 for _, a in terms):
+        raise InvalidParameterError("exponents must be nonzero")
+    if any(m == 0.0 for m, _ in terms):
+        raise InvalidParameterError("coefficients must be nonzero")
+    return [(m, 1.0, Separable(get_profile(f"power:{a!r}"))) for m, a in terms]
+
+
+def _well_terms(p, *kinds):
+    """One unit-coefficient term per (parameter, kind) over well profiles."""
+    return [(1.0, 1.0, kind(get_profile(p[key]).check_well())) for key, kind in kinds]
+
+
+def _lam_mu(p):
+    return (float(p["lam"]), float(p["mu"]))
+
+
+def _curvature(p, key):
+    return float(get_profile(p[key]).d2(1.0))
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
-_FAMILIES = {
-    cls.family: cls
-    for cls in (
-        LinearCorotational,
-        StVenantKirchhoff,
-        Hencky,
-        SethHill,
-        SymmetricSethHill,
-        Hill,
-        NeoHookean,
-        NeoHookeanOgden,
-        StableNeoHookean,
-        STS,
-        ValanisLandelOriginal,
-        ValanisLandelNew,
-        ValanisLandelXu,
-        PengLandel,
-        ARAP,
-        SymmetricARAP,
-        SymmetricDirichlet,
-        Ogden,
-        MooneyRivlin,
-    )
-}
 
-_PARAM_SCHEMAS = {
-    "linear_corotational": {"mu": "Pa", "lam": "Pa"},
-    "st_venant_kirchhoff": {"mu": "Pa", "lam": "Pa"},
-    "hencky": {"mu": "Pa", "lam": "Pa"},
-    "seth_hill": {"mu": "Pa", "lam": "Pa", "alpha": "dimensionless, nonzero"},
-    "symmetric_seth_hill": {"mu": "Pa", "lam": "Pa", "alpha": "dimensionless, nonzero"},
-    "hill": {"mu": "Pa", "lam": "Pa", "f": "profile name (Hill contract)"},
-    "neo_hookean": {"mu": "Pa", "lam": "Pa"},
-    "neo_hookean_ogden": {"mu": "Pa", "lam": "Pa"},
-    "stable_neo_hookean": {"mu": "Pa", "lam": "Pa"},
-    "sts": {"mu": "Pa", "lam": "Pa", "mu4": "Pa"},
-    "valanis_landel_original": {"mu": "Pa", "lam": "Pa"},
-    "valanis_landel_new": {"f": "profile name (well contract)", "h": "profile name (well contract)"},
-    "valanis_landel_xu": {
-        "f": "profile name (well contract)",
-        "g": "profile name (well contract)",
-        "h": "profile name (well contract)",
-    },
-    "peng_landel": {"E": "Pa"},
-    "arap": {},
-    "symmetric_arap": {"mu": "Pa"},
-    "symmetric_dirichlet": {},
-    "ogden": {"terms": "list of [mu_p (Pa), alpha_p (nonzero)]"},
-    "mooney_rivlin": {"c1": "Pa", "c2": "Pa"},
+@dataclass(frozen=True)
+class _Family:
+    schema: dict  # required parameter -> unit or meaning
+    terms: Callable  # params -> [(coef, alpha, term)]; raises on invalid params
+    lame: Callable = _lam_mu  # params -> closed-form (lambda_lame, mu_lame)
+    domain: str = "positive"
+    positive: tuple = ("mu",)  # parameters that must be > 0
+    scale: Optional[Callable] = None  # params -> modulus_scale; default max |Pa parameter|
+
+    def modulus_scale(self, p):
+        if self.scale is not None:
+            return self.scale(p)
+        moduli = [abs(float(p[k])) for k, unit in self.schema.items() if unit == "Pa"]
+        return max(moduli, default=1.0)
+
+
+_MU_LAM = {"mu": "Pa", "lam": "Pa"}
+_WITH_ALPHA = dict(_MU_LAM, alpha="dimensionless, nonzero")
+_WELL = "profile name (well contract)"
+
+_FAMILIES = {
+    "linear_corotational": _Family(_MU_LAM, lambda p: _hill(p, _LINEAR), domain="unrestricted"),
+    # Seth-Hill at alpha = 2: the corotational list, filtered
+    "st_venant_kirchhoff": _Family(_MU_LAM, lambda p: _hill(p, _LINEAR, 2.0), domain="unrestricted"),
+    "hencky": _Family(_MU_LAM, lambda p: _hill(p, _LOG)),
+    "seth_hill": _Family(_WITH_ALPHA, lambda p: _hill(p, _LINEAR, _exponent(p))),
+    "symmetric_seth_hill": _Family(_WITH_ALPHA, lambda p: _hill(p, _sym_power(_exponent(p)))),
+    "hill": _Family(
+        dict(_MU_LAM, f="profile name (Hill contract)"),
+        lambda p: _hill(p, get_profile(p["f"]).check_hill()),
+    ),
+    "neo_hookean": _Family(_MU_LAM, lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ)),
+    "neo_hookean_ogden": _Family(_MU_LAM, lambda p: _neo_hookean(p, _LOG_J, _J_MINUS_1_SQ)),
+    "stable_neo_hookean": _Family(
+        _MU_LAM,
+        lambda p: _neo_hookean(p, _J_MINUS_1, _J_MINUS_1_SQ),
+        lame=lambda p: (float(p["lam"]) - float(p["mu"]), float(p["mu"])),
+        domain="unrestricted",
+    ),
+    "sts": _Family(dict(_MU_LAM, mu4="Pa"), lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ)),
+    # 2 mu sum (l_i (log l_i - 1) + 1) + lam/2 log^2 J
+    "valanis_landel_original": _Family(
+        _MU_LAM,
+        lambda p: [
+            (2.0 * float(p["mu"]), 1.0, Separable(_VL_STRETCH)),
+            (0.5 * float(p["lam"]), 1.0, _LOG_J_SQ),
+        ],
+    ),
+    # sum f(l_i) + h(J)
+    "valanis_landel_new": _Family(
+        {"f": _WELL, "h": _WELL},
+        lambda p: _well_terms(p, ("f", Separable), ("h", Volumetric)),
+        lame=lambda p: (_curvature(p, "h"), 0.5 * _curvature(p, "f")),
+        positive=(),
+        scale=lambda p: max(abs(_curvature(p, "f")), abs(_curvature(p, "h")), 1e-300),
+    ),
+    # sum f(l_i) + sum over the three unordered pairs g(l_i l_j) + h(J)
+    "valanis_landel_xu": _Family(
+        {"f": _WELL, "g": _WELL, "h": _WELL},
+        lambda p: _well_terms(p, ("f", Separable), ("g", Pair), ("h", Volumetric)),
+        lame=lambda p: (
+            _curvature(p, "g") + _curvature(p, "h"),
+            0.5 * (_curvature(p, "f") + _curvature(p, "g")),
+        ),
+        positive=(),
+        scale=lambda p: max(*(abs(_curvature(p, k)) for k in "fgh"), 1e-300),
+    ),
+    "peng_landel": _Family(
+        {"E": "Pa"},
+        lambda p: [(float(p["E"]), 1.0, Separable(_PENG_LANDEL))],
+        lame=lambda p: (0.0, float(p["E"]) / 3.0),
+        positive=("E",),
+    ),
+    # sum (l_i - 1)^2, the stretch form of the distance to rotations
+    "arap": _Family(
+        {},
+        lambda p: [(1.0, 1.0, Separable(_SQUARE))],
+        lame=lambda p: (0.0, 1.0),
+        domain="unrestricted",
+        positive=(),
+    ),
+    # mu/2 sum ((l_i - 1)^2 + (1 - 1/l_i)^2)
+    "symmetric_arap": _Family(
+        {"mu": "Pa"},
+        lambda p: [(float(p["mu"]), 1.0, Separable(half_square(f))) for f in (_LINEAR, _INVERSE)],
+        lame=lambda p: (0.0, float(p["mu"])),
+    ),
+    # 1/2 sum (l_i - 1/l_i)^2
+    "symmetric_dirichlet": _Family(
+        {},
+        lambda p: [(1.0, 1.0, Separable(_SYM_DIRICHLET))],
+        lame=lambda p: (0.0, 2.0),
+        positive=(),
+    ),
+    # sum_p mu_p / alpha_p (sum_i l_i^alpha_p - 3), mu_p of either sign
+    "ogden": _Family(
+        {"terms": "list of [mu_p (Pa), alpha_p (nonzero)]"},
+        _ogden,
+        lame=lambda p: (0.0, 0.5 * sum(float(m) * (float(a) - 1.0) for m, a in p["terms"])),
+        positive=(),
+        scale=lambda p: sum(abs(float(m)) for m, _ in p["terms"]),
+    ),
+    # C1 J^(-2/3) (I1 - 3) + C2 J^(-4/3) (I2 - 3); the rest gradient is
+    # 2 C1 + 4 C2 per component, so it is rest-stable only at C2 = -C1/2
+    "mooney_rivlin": _Family(
+        {"c1": "Pa", "c2": "Pa"},
+        lambda p: [
+            (float(p["c1"]), 1.0, Product(_j_power(-2.0 / 3.0), Separable(_SQ_MINUS_1))),
+            (float(p["c2"]), 1.0, Product(_j_power(-4.0 / 3.0), Pair(_SQ_MINUS_1))),
+        ],
+        lame=lambda p: (-4.0 / 3.0 * (2.0 * float(p["c1"]) + 5.0 * float(p["c2"])), float(p["c1"])),
+        positive=("c1",),
+    ),
 }
 
 
@@ -829,7 +366,21 @@ def make_material(family, params=None):
         raise InvalidParameterError(
             f"unknown family '{family}'; known: {sorted(_FAMILIES)}"
         )
-    return _FAMILIES[family](**(params or {}))
+    row = _FAMILIES[family]
+    params = dict(params or {})
+    if set(params) != set(row.schema):
+        raise InvalidParameterError(
+            f"{family}: expected parameters {sorted(row.schema)}, got {sorted(params)}"
+        )
+    for key in row.positive:
+        if float(params[key]) <= 0.0:
+            raise InvalidParameterError(f"{family}: {key} must be positive")
+    try:
+        terms = row.terms(params)
+    except InvalidParameterError as err:
+        raise InvalidParameterError(f"{family}: {err}") from None
+    scale = row.modulus_scale(params)
+    return MaterialModel(family, params, row.domain, terms, scale, row.lame(params))
 
 
 def catalog_families():
@@ -840,8 +391,8 @@ def catalog_families():
 def list_catalog():
     """Family descriptors: identifier, parameter schema, validity domain."""
     return [
-        {"family": name, "params": _PARAM_SCHEMAS[name], "domain": cls.domain}
-        for name, cls in _FAMILIES.items()
+        {"family": name, "params": row.schema, "domain": row.domain}
+        for name, row in _FAMILIES.items()
     ]
 
 
@@ -854,17 +405,10 @@ def sample_params(family, rng, rest_stable=False):
     """
     mu = float(rng.uniform(0.5, 5.0))
     lam = float(rng.uniform(-0.5, 5.0) * mu)
-    if family in (
-        "linear_corotational",
-        "st_venant_kirchhoff",
-        "hencky",
-        "neo_hookean",
-        "neo_hookean_ogden",
-        "stable_neo_hookean",
-        "valanis_landel_original",
-    ):
+    schema = _FAMILIES[family].schema if family in _FAMILIES else None
+    if schema == _MU_LAM:
         return {"mu": mu, "lam": lam}
-    if family in ("seth_hill", "symmetric_seth_hill"):
+    if schema == _WITH_ALPHA:
         alpha = float(rng.choice([-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
         return {"mu": mu, "lam": lam, "alpha": alpha}
     if family == "hill":

@@ -1,8 +1,11 @@
 """Closed registry of scalar profile functions.
 
-Profiles parameterize the Hill and Valanis-Landel material families. They
-ship as a named registry (rather than arbitrary callables) so config files
-and the CLI can refer to them by string.
+A profile is a 1-D function with its first and second derivatives, all
+evaluated elementwise on floats or numpy arrays. Profiles are the
+building blocks of the material term kinds (see ``materials``), and they
+parameterize the Hill and Valanis-Landel families. The families' profiles
+ship as a named registry (rather than arbitrary callables) so config
+files and the CLI can refer to them by string.
 
 Naming scheme
 -------------
@@ -19,20 +22,21 @@ f(1) = 0 and f'(1) = 0; all built-in well shapes have f''(1) = 1 so a
 ``scaled:`` wrapper directly sets the curvature at rest.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
-__all__ = ["Profile", "get_profile", "list_profiles"]
+__all__ = ["Profile", "get_profile", "half_square", "list_profiles"]
 
 _CONTRACT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Profile:
-    """A scalar map with first and second derivatives."""
+    """A scalar map with first and second derivatives, elementwise on arrays."""
 
     name: str
     value: Callable[[float], float] = field(repr=False)
@@ -40,22 +44,24 @@ class Profile:
     d2: Callable[[float], float] = field(repr=False)
 
     def check_hill(self):
-        """Verify f(1) = 0, f'(1) = 1; raise otherwise."""
+        """Verify f(1) = 0, f'(1) = 1 and return the profile; raise otherwise."""
         if abs(self.value(1.0)) > _CONTRACT_TOL or abs(self.d1(1.0) - 1.0) > _CONTRACT_TOL:
             raise InvalidParameterError(
                 f"profile '{self.name}' violates the Hill contract f(1)=0, f'(1)=1"
             )
+        return self
 
     def check_well(self):
-        """Verify f(1) = 0, f'(1) = 0; raise otherwise."""
+        """Verify f(1) = 0, f'(1) = 0 and return the profile; raise otherwise."""
         if abs(self.value(1.0)) > _CONTRACT_TOL or abs(self.d1(1.0)) > _CONTRACT_TOL:
             raise InvalidParameterError(
                 f"profile '{self.name}' violates the well contract f(1)=0, f'(1)=0"
             )
+        return self
 
 
 def _log_profile():
-    return Profile("log", math.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2)
+    return Profile("log", np.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2)
 
 
 def _power_profile(beta):
@@ -72,9 +78,9 @@ def _power_profile(beta):
 def _log_sq_profile():
     return Profile(
         "log_sq",
-        lambda x: 0.5 * math.log(x) ** 2,
-        lambda x: math.log(x) / x,
-        lambda x: (1.0 - math.log(x)) / x**2,
+        lambda x: 0.5 * np.log(x) ** 2,
+        lambda x: np.log(x) / x,
+        lambda x: (1.0 - np.log(x)) / x**2,
     )
 
 
@@ -83,14 +89,14 @@ def _j_minus_1_sq_profile():
         "j_minus_1_sq",
         lambda x: 0.5 * (x - 1.0) ** 2,
         lambda x: x - 1.0,
-        lambda x: 1.0,
+        lambda x: 0.0 * x + 1.0,
     )
 
 
 def _stretch_well_profile():
     return Profile(
         "stretch_well",
-        lambda x: x - 1.0 - math.log(x),
+        lambda x: x - 1.0 - np.log(x),
         lambda x: 1.0 - 1.0 / x,
         lambda x: 1.0 / x**2,
     )
@@ -99,9 +105,13 @@ def _stretch_well_profile():
 def _power_well_profile(beta):
     if beta == 0.0:
         raise InvalidParameterError("power_well profile exponent must be nonzero")
-    base = _power_profile(beta)
+    return half_square(_power_profile(beta), f"power_well:{beta:g}")
+
+
+def half_square(base, name=None):
+    """The profile (1/2) base(x)^2, labelled ``name`` (by default from the base)."""
     return Profile(
-        f"power_well:{beta:g}",
+        name or f"half_square:{base.name}",
         lambda x: 0.5 * base.value(x) ** 2,
         lambda x: base.value(x) * base.d1(x),
         lambda x: base.d1(x) ** 2 + base.value(x) * base.d2(x),
@@ -148,11 +158,6 @@ def get_profile(name):
             raise InvalidParameterError(f"malformed scaled profile name '{name}'")
         return _scaled_profile(_parse_float(name, parts[1]), get_profile(parts[2]))
     raise InvalidParameterError(f"unknown profile '{name}'")
-
-
-def scale_profile(c, name):
-    """Return ``c *`` the named profile."""
-    return _scaled_profile(float(c), get_profile(name))
 
 
 def _parse_float(full, token):

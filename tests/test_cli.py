@@ -1,6 +1,7 @@
 """Command-line interface: commands, output formats, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,32 @@ def test_stretch_test_csv(capsys, tmp_path):
     assert dists == sorted(dists) and len(set(dists)) == 4
     # compression pushes back, tension pulls back
     assert rows[0][1] < 0.0 < rows[-1][1]
+
+
+def test_inverted_element_exit_code(capsys, tmp_path):
+    # compression below 1 - 1/n inverts the last element layer of the
+    # initial guess; the solve reports it as a convergence failure
+    code, _, err = run(
+        capsys,
+        "stretch-test",
+        "--family",
+        "hencky",
+        "--params",
+        '{"mu": 1e5, "lam": 4e5}',
+        "--n",
+        "2",
+        "--dmin",
+        "0.4",
+        "--dmax",
+        "1.0",
+        "--steps",
+        "1",
+        "--out",
+        str(tmp_path / "curve.csv"),
+    )
+    assert code == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and re.search(r"element \d+", lines[0])
 
 
 def test_stretch_test_rejects_bad_range(capsys, tmp_path):

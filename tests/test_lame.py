@@ -124,6 +124,16 @@ def test_normalize_round_trip(family):
     assert abs(got.mu_lame - target.mu_lame) < 1e-10 * scale
 
 
+def test_normalize_keeps_a_log_based_pair_profile():
+    # the held profile's rest curvature enters the other profiles' names
+    target = moduli_to_lame(IsotropicModuli(2.5e5, 0.3))
+    params = normalize("valanis_landel_xu", target, baseline={"g": "scaled:0.5:log_sq"})
+    got = extract_lame(make_material("valanis_landel_xu", params))
+    scale = max(abs(target.lambda_lame), abs(target.mu_lame))
+    assert abs(got.lambda_lame - target.lambda_lame) < 1e-10 * scale
+    assert abs(got.mu_lame - target.mu_lame) < 1e-10 * scale
+
+
 def test_normalize_zero_lambda_families_unreachable():
     target = moduli_to_lame(IsotropicModuli(1e5, 0.3))
     for family in ("arap", "symmetric_dirichlet", "peng_landel", "ogden"):

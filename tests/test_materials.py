@@ -128,9 +128,21 @@ def test_positive_domain_enforced():
         m.energy([1.0, 1.0, -0.5])
     with pytest.raises(DomainViolationError):
         m.energy([1.0, 0.0, 1.0])
+    with pytest.raises(DomainViolationError):
+        m.energy([np.nan, 1.0, 1.0])
     # unrestricted families accept negative stretches
     m = make_material("st_venant_kirchhoff", {"mu": 1.0, "lam": 1.0})
     m.energy([1.0, 1.0, -0.5])
+    with pytest.raises(DomainViolationError):
+        m.gradient([np.inf, 1.0, 1.0])
+    # but no family accepts a non-finite stretch
+    rng = np.random.default_rng(7)
+    for family in catalog_families():
+        m = make_material(family, sample_params(family, rng))
+        for bad in ([np.nan, 1.0, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0, -np.inf]):
+            for evaluate in (m.energy, m.gradient, m.hessian):
+                with pytest.raises(DomainViolationError):
+                    evaluate(bad)
 
 
 def test_parameter_validation():
