@@ -11,6 +11,12 @@ Parts from different families recombine freely, optionally with an
 independent nonlinearity exponent on each part. Zero-lambda energies
 (ARAP, Ogden, ...) can be augmented with a Neo-Hookean volumetric part
 to obtain a nonzero Poisson's ratio.
+
+Every material is a flat list of (coef, alpha, term) entries (see
+``materials``), so a :class:`LinearCombination` and a
+:class:`ComposedMaterial` are the concatenated lists of their operands
+with each coefficient scaled by the operand's weight; neither evaluates
+anything itself.
 """
 
 from dataclasses import dataclass

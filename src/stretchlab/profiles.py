@@ -22,7 +22,7 @@ f(1) = 0 and f'(1) = 0; all built-in well shapes have f''(1) = 1 so a
 ``scaled:`` wrapper directly sets the curvature at rest.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -105,13 +105,13 @@ def _stretch_well_profile():
 def _power_well_profile(beta):
     if beta == 0.0:
         raise InvalidParameterError("power_well profile exponent must be nonzero")
-    return half_square(_power_profile(beta), f"power_well:{beta:g}")
+    return replace(half_square(_power_profile(beta)), name=f"power_well:{beta:g}")
 
 
-def half_square(base, name=None):
-    """The profile (1/2) base(x)^2, labelled ``name`` (by default from the base)."""
+def half_square(base):
+    """The profile (1/2) base(x)^2."""
     return Profile(
-        name or f"half_square:{base.name}",
+        f"half_square:{base.name}",
         lambda x: 0.5 * base.value(x) ** 2,
         lambda x: base.value(x) * base.d1(x),
         lambda x: base.d1(x) ** 2 + base.value(x) * base.d2(x),
