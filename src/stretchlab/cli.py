@@ -9,8 +9,8 @@ modes         compare rest stiffness and modal frequencies of two specs
 verify-table  closed-form vs finite-difference Lame check for the catalog
 genmesh       write a generated cube/beam mesh file
 
-Exit codes: 0 success, 2 validation error (any other library error),
-3 convergence failure or inverted element, 4 verification failure.
+Exit codes: 0 success, 2 validation error or any other library error,
+3 convergence failure or an inverted element, 4 verification failure.
 """
 
 import argparse
@@ -52,7 +52,7 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
-# malformed input that fails before it reaches the library
+# malformed command-line input: bad JSON or numbers, missing keys or files
 _INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError)
 
 

@@ -88,7 +88,7 @@ class MaterialModel:
     def _evaluate(self, s, order):
         s = np.asarray(s, dtype=float)
         self.check_domain(s)
-        out = np.zeros((3,) * order)
+        out = np.zeros((3,) * order) if order else 0.0
         for alpha, terms in self._groups:
             if alpha == 1.0:
                 out += _derivative(terms, s, order)
@@ -259,7 +259,9 @@ _WELL = "profile name (well contract)"
 _FAMILIES = {
     "linear_corotational": _Family(_MU_LAM, lambda p: _hill(p, _LINEAR), domain="unrestricted"),
     # Seth-Hill at alpha = 2: the corotational list, filtered
-    "st_venant_kirchhoff": _Family(_MU_LAM, lambda p: _hill(p, _LINEAR, 2.0), domain="unrestricted"),
+    "st_venant_kirchhoff": _Family(
+        _MU_LAM, lambda p: _hill(p, _LINEAR, 2.0), domain="unrestricted"
+    ),
     "hencky": _Family(_MU_LAM, lambda p: _hill(p, _LOG)),
     "seth_hill": _Family(_WITH_ALPHA, lambda p: _hill(p, _LINEAR, _exponent(p))),
     "symmetric_seth_hill": _Family(_WITH_ALPHA, lambda p: _hill(p, _sym_power(_exponent(p)))),
