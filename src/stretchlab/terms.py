@@ -1,13 +1,14 @@
 """Term kinds: the building blocks of stretch-space energies.
 
-A term is a symmetric function of the three principal stretches x built
-on 1-D profiles (value, d1, d2; see ``profiles``), with its value,
-gradient and Hessian at a stretch triple. The four kinds are
+A term is a symmetric function of the three principal stretches l built
+on 1-D profiles (value, d1, d2; see ``profiles``). Its ``value``,
+``grad`` and ``hess`` methods take the triple as ``x``, which is l itself
+or, under the nonlinearity filter, l^alpha. The four kinds are
 
-- ``Separable(w)``     sum_i w(x_i)
-- ``Volumetric(h)``    h(J), J = x_1 x_2 x_3
-- ``HillCoupling(f)``  (sum_i f(x_i))^2
-- ``Pair(g)``          sum_{i<j} g(x_i x_j)
+- ``Separable(w)``     sum_i w(l_i)
+- ``Volumetric(h)``    h(J), J = l_1 l_2 l_3
+- ``HillCoupling(f)``  (sum_i f(l_i))^2
+- ``Pair(g)``          sum_{i<j} g(l_i l_j)
 
 and ``Product(a, b)`` of two terms, which gives the Mooney-Rivlin terms
 J^(-2k/3) (I_k - 3). Each rule is written once, with numpy over the
