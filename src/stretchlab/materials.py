@@ -145,7 +145,7 @@ def evaluate(model, s):
 
 _LINEAR = Profile("x_minus_1", lambda x: x - 1.0, lambda x: 0.0 * x + 1.0, lambda x: 0.0 * x)
 _SQUARE = get_profile("scaled:2:j_minus_1_sq")  # (x - 1)^2
-_SQ_MINUS_1 = get_profile("scaled:2:power:2")  # x^2 - 1
+_SQ_MINUS_1 = Profile("x^2-1", lambda x: x * x - 1.0, lambda x: 2.0 * x, lambda x: 0.0 * x + 2.0)
 _LOG = get_profile("log")
 _INVERSE = Profile("1_minus_1/x", lambda x: 1.0 - 1.0 / x, lambda x: x**-2, lambda x: -2.0 * x**-3)
 _SYM_DIRICHLET = half_square(
