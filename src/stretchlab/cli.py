@@ -27,7 +27,6 @@ from .errors import (
 )
 from .lame import (
     IsotropicModuli,
-    LameParams,
     extract_lame,
     lame_to_moduli,
     moduli_to_lame,
@@ -37,7 +36,6 @@ from .materials import catalog_families, make_material, sample_params
 from .specs import build_material
 from .fem import (
     BoundaryCondition,
-    SolveConfig,
     assemble,
     generate_mesh,
     modal_frequencies,

@@ -10,7 +10,15 @@ class InvalidParameterError(StretchlabError):
 
 
 class DomainViolationError(StretchlabError):
-    """An energy was evaluated outside its validity domain."""
+    """An energy was evaluated outside its validity domain.
+
+    When a stack of stretch triples was evaluated, ``index`` is the
+    row-major position of the first invalid triple; otherwise it is None.
+    """
+
+    def __init__(self, message, index=None):
+        self.index = index
+        super().__init__(message)
 
 
 class RestInstabilityError(StretchlabError):

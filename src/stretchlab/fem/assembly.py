@@ -13,6 +13,14 @@ elasticity tensor of the material's extracted Lame parameters.
 
 Clamping those eigenvalues at zero gives the positive semidefinite
 projection the Newton solver uses.
+
+``assemble`` and ``total_energy`` work in one array pass over all tets:
+F for every element from one batched product with the precomputed Bm,
+one ``decompose`` per element, then one material evaluation on the
+(m, 3) stack of stretches, one (m, 9, 9) dP/dF build, the element forces
+-vol G^T vec(P) and stiffnesses vol G^T dPdF G as batched products, and a
+scatter into the dense global arrays with ``np.bincount`` over index
+tables that ``ElementBasis`` computes once per mesh.
 """
 
 import math
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainViolationError, InvertedElementError
-from ..stretch_core import assemble_pk1, decompose
+from ..stretch_core import RotationVariantSVD, assemble_pk1, decompose
 
 __all__ = [
     "SystemMatrices",
@@ -33,7 +41,8 @@ __all__ = [
     "ElementBasis",
 ]
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+# the index pairs i < j of the twist and flip modes
+_PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 _EQUAL_STRETCH_RTOL = 1e-6
 _SQRT2 = math.sqrt(2.0)
 
@@ -61,34 +70,57 @@ class SystemMatrices:
         return self.force[f], self.stiffness[np.ix_(f, f)], self.mass[f]
 
 
+def _edge_matrices(x, tets):
+    """(m, 3, 3) matrices whose column c is x[tet[c + 1]] - x[tet[0]]."""
+    return np.swapaxes(x[tets[:, 1:]] - x[tets[:, :1]], 1, 2)
+
+
 class ElementBasis:
-    """Precomputed rest-shape quantities for one mesh."""
+    """Precomputed rest-shape arrays for one mesh.
+
+    Attributes
+    ----------
+    Bm : (m, 3, 3) ndarray
+        Inverse rest edge matrices.
+    G : (m, 9, 12) ndarray
+        d vec(F) / d(element coordinates), row-major vec, coordinates in
+        the order of the element's vertices.
+    dofs : (m, 12) ndarray
+        Global coordinate index of each element coordinate.
+    volumes : (m,) ndarray
+        Rest volumes.
+    mass : (3n,) ndarray
+        Lumped mass diagonal.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        v, t = mesh.vertices, mesh.tets
+        tets = mesh.tets
         m = mesh.num_tets
-        self.Bm = np.zeros((m, 3, 3))
-        self.G = np.zeros((m, 9, 12))
+        ndof = 3 * mesh.num_vertices
         self.volumes = mesh.rest_volumes
-        for e in range(m):
-            Dm = np.stack([v[t[e, c + 1]] - v[t[e, 0]] for c in range(3)], axis=1)
-            Bm = np.linalg.inv(Dm)
-            self.Bm[e] = Bm
-            G = np.zeros((9, 12))
-            colsum = Bm.sum(axis=0)
-            for a in range(3):
-                for b in range(3):
-                    row = 3 * a + b
-                    G[row, a] = -colsum[b]
-                    for j in range(3):
-                        G[row, 3 * (j + 1) + a] = Bm[j, b]
-            self.G[e] = G
+        self.Bm = np.linalg.inv(_edge_matrices(mesh.vertices, tets))
+        # F_ab = sum_n x_{n,a} w_{n,b}: vertex 0 weighs minus the column sums of Bm
+        w = np.concatenate([-self.Bm.sum(axis=1, keepdims=True), self.Bm], axis=1)
+        self.G = np.einsum("enb,ac->eabnc", w, np.eye(3)).reshape(m, 9, 12)
+        self.dofs = (3 * tets[:, :, None] + np.arange(3)).reshape(m, 12)
+        # flat (row, column) positions of every element stiffness entry in K
+        self._stiffness_index = (self.dofs[:, :, None] * ndof + self.dofs[:, None, :]).ravel()
+        self.mass = lumped_mass(mesh)
 
-    def deformation_gradient(self, positions, e):
-        t = self.mesh.tets[e]
-        Ds = np.stack([positions[t[c + 1]] - positions[t[0]] for c in range(3)], axis=1)
-        return Ds @ self.Bm[e]
+    def deformation_gradients(self, positions):
+        """F = Ds Bm of every element, (m, 3, 3), at vertex positions (n, 3)."""
+        positions = np.asarray(positions, dtype=float)
+        return _edge_matrices(positions, self.mesh.tets) @ self.Bm
+
+    def element_svds(self, positions):
+        """Rotation-variant SVDs of every element, stacked along a leading axis."""
+        parts = [decompose(F) for F in self.deformation_gradients(positions)]
+        return RotationVariantSVD(
+            U=np.stack([p.U for p in parts]),
+            V=np.stack([p.V for p in parts]),
+            sigma=np.stack([p.sigma for p in parts]),
+        )
 
 
 def element_pk1(material, F):
@@ -103,36 +135,49 @@ def element_pk1(material, F):
 
 
 def stress_jacobian_from_svd(svd, grad, hess, project=False):
-    """The 9x9 dP/dF (row-major vec) from an SVD and stretch derivatives."""
+    """dP/dF (row-major vec) from an SVD and stretch derivatives.
+
+    For one element (U, V (3, 3), sigma and grad (3,), hess (3, 3)) it
+    returns the (9, 9) matrix; with a leading element axis on every input
+    it returns (m, 9, 9). The twist denominator clamp, the flip-mode
+    switch to the l'Hopital limit and the projection apply per element,
+    scaled by that element's largest stretch.
+    """
     U, V, s = svd.U, svd.V, svd.sigma
+    grad, hess = np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
     A = hess
     if project:
         w, Q = np.linalg.eigh(A)
-        A = (Q * np.maximum(w, 0.0)) @ Q.T
-    vecD = [np.outer(U[:, i], V[:, i]).reshape(9) for i in range(3)]
-    M = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            M += A[i, j] * np.outer(vecD[i], vecD[j])
-    scale = max(1.0, float(np.max(np.abs(s))))
-    for i, j in _PAIRS:
-        Wij = np.outer(U[:, i], V[:, j])
-        Wji = np.outer(U[:, j], V[:, i])
-        vecT = ((Wij - Wji) / _SQRT2).reshape(9)
-        vecL = ((Wij + Wji) / _SQRT2).reshape(9)
-        den_t = s[i] + s[j]
-        if abs(den_t) < 1e-12 * scale:
-            den_t = math.copysign(1e-12 * scale, den_t if den_t != 0.0 else 1.0)
-        t = (grad[i] + grad[j]) / den_t
-        if abs(s[i] - s[j]) > _EQUAL_STRETCH_RTOL * scale:
-            l = (grad[i] - grad[j]) / (s[i] - s[j])
-        else:
-            l = 0.5 * (hess[i, i] + hess[j, j]) - hess[i, j]
-        if project:
-            t = max(t, 0.0)
-            l = max(l, 0.0)
-        M += t * np.outer(vecT, vecT) + l * np.outer(vecL, vecL)
-    return M
+        A = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    batch = s.shape[:-1]
+    # scaling modes vec(u_i v_i^T), coupled by A
+    D = np.einsum("...ai,...bi->...iab", U, V).reshape(batch + (3, 9))
+    M = np.swapaxes(D, -1, -2) @ A @ D
+
+    # twist and flip modes vec(u_i v_j^T -/+ u_j v_i^T) / sqrt 2 of each pair i < j
+    I, J = _PAIR_I, _PAIR_J
+    Wij = np.einsum("...ak,...bk->...kab", U[..., I], V[..., J]).reshape(batch + (3, 9))
+    Wji = np.einsum("...ak,...bk->...kab", U[..., J], V[..., I]).reshape(batch + (3, 9))
+    modes = np.concatenate([Wij - Wji, Wij + Wji], axis=-2) / _SQRT2
+
+    si, sj, gi, gj = s[..., I], s[..., J], grad[..., I], grad[..., J]
+    scale = np.maximum(1.0, np.max(np.abs(s), axis=-1, keepdims=True))
+    tiny = 1e-12 * scale
+    den_t = si + sj
+    den_t = np.where(
+        np.abs(den_t) < tiny, np.copysign(tiny, np.where(den_t == 0.0, 1.0, den_t)), den_t
+    )
+    gap = si - sj
+    apart = np.abs(gap) > _EQUAL_STRETCH_RTOL * scale
+    flip = np.where(
+        apart,
+        (gi - gj) / np.where(apart, gap, 1.0),
+        0.5 * (hess[..., I, I] + hess[..., J, J]) - hess[..., I, J],
+    )
+    eig = np.concatenate([(gi + gj) / den_t, flip], axis=-1)
+    if project:
+        eig = np.maximum(eig, 0.0)
+    return M + (np.swapaxes(modes, -1, -2) * eig[..., None, :]) @ modes
 
 
 def element_stress_jacobian(material, F, method="analytic", project=False, fd_step=1e-6):
@@ -166,25 +211,19 @@ def element_stress_jacobian(material, F, method="analytic", project=False, fd_st
 def total_energy(mesh, material, positions, basis=None):
     """Total elastic energy; raises InvertedElementError out of domain."""
     basis = basis or ElementBasis(mesh)
-    e_total = 0.0
-    for e in range(mesh.num_tets):
-        F = basis.deformation_gradient(positions, e)
-        svd = decompose(F)
-        try:
-            e_total += basis.volumes[e] * material.energy(svd.sigma)
-        except DomainViolationError as err:
-            raise InvertedElementError(e, str(err)) from err
-    return e_total
+    svd = basis.element_svds(positions)
+    try:
+        psi = material.energy(svd.sigma)
+    except DomainViolationError as err:
+        raise InvertedElementError(err.index, str(err)) from err
+    return float(basis.volumes @ psi)
 
 
 def lumped_mass(mesh):
     """Diagonal lumped mass: element mass split equally over its vertices."""
-    mass = np.zeros(3 * mesh.num_vertices)
-    for e, tet in enumerate(mesh.tets):
-        share = mesh.density * mesh.rest_volumes[e] / 4.0
-        for v in tet:
-            mass[3 * v : 3 * v + 3] += share
-    return mass
+    share = np.repeat(mesh.density * mesh.rest_volumes / 4.0, 4)
+    per_vertex = np.bincount(mesh.tets.ravel(), weights=share, minlength=mesh.num_vertices)
+    return np.repeat(per_vertex, 3)
 
 
 def free_dof_indices(mesh, bc):
@@ -216,41 +255,35 @@ def assemble(mesh, material, positions=None, bc=None, project=False, basis=None)
     ------
     InvertedElementError
         When an element leaves the material's validity domain; carries
-        the element index.
+        the lowest such element index.
     """
     if positions is None:
         positions = mesh.vertices
-    positions = np.asarray(positions, dtype=float)
     basis = basis or ElementBasis(mesh)
     ndof = 3 * mesh.num_vertices
-    force = np.zeros(ndof)
-    K = np.zeros((ndof, ndof))
-    energy = 0.0
-
-    for e in range(mesh.num_tets):
-        F = basis.deformation_gradient(positions, e)
-        svd = decompose(F)
-        vol = basis.volumes[e]
-        try:
-            energy += vol * material.energy(svd.sigma)
-            g = material.gradient(svd.sigma)
-            H = material.hessian(svd.sigma)
-        except DomainViolationError as err:
-            raise InvertedElementError(e, str(err)) from err
-        P = assemble_pk1(svd, g)
-        G = basis.G[e]
-        dPdF = stress_jacobian_from_svd(svd, g, H, project=project)
-        fe = -vol * (G.T @ P.reshape(9))
-        Ke = vol * (G.T @ dPdF @ G)
-        dofs = np.concatenate([3 * v + np.arange(3) for v in mesh.tets[e]])
-        force[dofs] += fe
-        K[np.ix_(dofs, dofs)] += Ke
-
-    K = 0.5 * (K + K.T)
+    svd = basis.element_svds(positions)
+    try:
+        psi = material.energy(svd.sigma)
+        g = material.gradient(svd.sigma)
+        H = material.hessian(svd.sigma)
+    except DomainViolationError as err:
+        raise InvertedElementError(err.index, str(err)) from err
+    vol = basis.volumes
+    G = basis.G
+    Gt = G.swapaxes(1, 2)
+    P = assemble_pk1(svd, g).reshape(-1, 9, 1)
+    fe = -vol[:, None] * (Gt @ P)[..., 0]
+    Ke = Gt @ stress_jacobian_from_svd(svd, g, H, project=project) @ G
+    # symmetric element matrices give an exactly symmetric K: bincount adds
+    # K[i, j] and K[j, i] from the same values in the same element order
+    Ke += Ke.swapaxes(1, 2)
+    Ke *= 0.5 * vol[:, None, None]
+    force = np.bincount(basis.dofs.ravel(), weights=fe.ravel(), minlength=ndof)
+    K = np.bincount(basis._stiffness_index, weights=Ke.ravel(), minlength=ndof * ndof)
     return SystemMatrices(
         force=force,
-        stiffness=K,
-        mass=lumped_mass(mesh),
-        energy=energy,
+        stiffness=K.reshape(ndof, ndof),
+        mass=basis.mass.copy(),
+        energy=float(vol @ psi),
         free_dofs=None if bc is None else free_dof_indices(mesh, bc),
     )

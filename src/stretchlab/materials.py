@@ -8,7 +8,9 @@ product that gives Mooney-Rivlin). The exponent alpha is the nonlinearity
 filter, so filtering, combining and composing materials only rewrite the
 list, and the chain rule of the filter lives in one place,
 ``MaterialModel._evaluate``. Seth-Hill is the Linear Corotational list at
-alpha, and St. Venant-Kirchhoff the same list at alpha = 2.
+alpha, and St. Venant-Kirchhoff the same list at alpha = 2. Energy,
+gradient and Hessian take one triple (3,) or a stack (..., 3), such as the
+stretches of every element of a mesh, through the same evaluator.
 
 Each family is one row of ``_FAMILIES``: parameter schema, term builder,
 closed-form Lame pair, domain, parameters that must be positive and
@@ -47,7 +49,10 @@ _EYE = np.eye(3)
 def _derivative(terms, x, order):
     """sum coef * (value, gradient or Hessian) of the terms at x."""
     kind = ("value", "grad", "hess")[order]
-    return sum(c * getattr(t, kind)(x) for c, t in terms)
+    out = 0.0
+    for c, t in terms:
+        out += c * getattr(t, kind)(x)
+    return out
 
 
 class MaterialModel:
@@ -88,7 +93,7 @@ class MaterialModel:
     def _evaluate(self, s, order):
         s = np.asarray(s, dtype=float)
         self.check_domain(s)
-        out = np.zeros((3,) * order) if order else 0.0
+        out = 0.0
         for alpha, terms in self._groups:
             if alpha == 1.0:
                 out += _derivative(terms, s, order)
@@ -102,29 +107,52 @@ class MaterialModel:
             if order == 1:
                 out += w * _derivative(terms, x, 1) / alpha
             else:
-                out += _derivative(terms, x, 2) * (w[:, None] * w)
-                out += (alpha - 1.0) / alpha * s ** (alpha - 2.0) * _derivative(terms, x, 1) * _EYE
+                out += _derivative(terms, x, 2) * (w[..., :, None] * w[..., None, :])
+                g = (alpha - 1.0) / alpha * s ** (alpha - 2.0) * _derivative(terms, x, 1)
+                out += g[..., None, :] * _EYE
         return out
 
     def check_domain(self, s):
+        """Raise DomainViolationError unless every triple of s (3,) or (..., 3) is valid.
+
+        For a stack, the error names the first invalid triple in row-major
+        order and carries its position as ``index``.
+        """
         s = np.asarray(s, dtype=float)
         v = s.ravel().tolist()
-        if not all(map(math.isfinite, v)):
-            raise DomainViolationError(f"{self.family} requires finite stretches, got {s}")
-        if self.domain == "positive" and min(v) <= 0.0:
+        # a non-finite entry makes the sum non-finite; finite entries whose
+        # sum overflows fall through to the exact test below
+        if math.isfinite(sum(v)) and (self.domain != "positive" or min(v) > 0.0):
+            return
+        rows = s.reshape(-1, 3)
+        bad = ~np.isfinite(rows).all(axis=1)
+        if self.domain == "positive":
+            bad |= ~(rows > 0.0).all(axis=1)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        index = i if s.ndim > 1 else None
+        if not np.isfinite(rows[i]).all():
             raise DomainViolationError(
-                f"{self.family} requires strictly positive stretches, got {s}"
+                f"{self.family} requires finite stretches, got {rows[i]}", index=index
             )
+        raise DomainViolationError(
+            f"{self.family} requires strictly positive stretches, got {rows[i]}", index=index
+        )
 
     def energy(self, s):
-        return float(self._evaluate(s, 0))
+        """Energy at a triple (float) or at each triple of a (..., 3) stack."""
+        e = self._evaluate(s, 0)
+        return e if isinstance(e, np.ndarray) else float(e)
 
     def gradient(self, s):
+        """Stretch gradient, shape (3,) or (..., 3)."""
         return self._evaluate(s, 1)
 
     def hessian(self, s):
+        """Symmetric stretch Hessian, shape (3, 3) or (..., 3, 3)."""
         H = self._evaluate(s, 2)
-        return 0.5 * (H + H.T)
+        return 0.5 * (H + H.swapaxes(-1, -2))
 
     def lame_closed_form(self) -> Optional[tuple]:
         """Table closed form (lambda_lame, mu_lame), or None if unknown."""

@@ -6,6 +6,7 @@ Keeping det(U) = det(V) = +1 pushes any reflection into the sign of the
 smallest stretch, so at most one entry of s can be negative.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ class RotationVariantSVD:
     sigma : (3,) ndarray
         Principal stretches, sorted descending; only sigma[2] may be
         negative.
+
+    The assembly stacks the decompositions of all elements into one
+    instance with a leading element axis on every field.
     """
 
     U: np.ndarray
@@ -32,7 +36,7 @@ class RotationVariantSVD:
 
     def reconstruct(self):
         """Return U diag(sigma) V^T."""
-        return (self.U * self.sigma) @ self.V.T
+        return (self.U * self.sigma[..., None, :]) @ np.swapaxes(self.V, -1, -2)
 
 
 def decompose(F):
@@ -54,17 +58,15 @@ def decompose(F):
     F = np.asarray(F, dtype=float)
     if F.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {F.shape}")
-    if not np.all(np.isfinite(F)):
+    if not all(map(math.isfinite, F.ravel().tolist())):
         raise ValueError("deformation gradient has non-finite entries")
 
+    # svd returns fresh arrays, so the sign flips may write into them
     U, s, Vt = np.linalg.svd(F)
-    s = s.copy()
-    if np.linalg.det(U) < 0.0:
-        U = U.copy()
+    if _is_reflection(U):
         U[:, 2] = -U[:, 2]
         s[2] = -s[2]
-    if np.linalg.det(Vt) < 0.0:
-        Vt = Vt.copy()
+    if _is_reflection(Vt):
         Vt[2, :] = -Vt[2, :]
         s[2] = -s[2]
     V = Vt.T
@@ -86,15 +88,22 @@ def decompose(F):
     return RotationVariantSVD(U=U, V=V, sigma=s)
 
 
+def _is_reflection(Q):
+    """True when an orthogonal 3x3 Q has determinant -1 (triple product sign)."""
+    (a, b, c), (d, e, f), (g, h, i) = Q.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0
+
+
 def assemble_pk1(svd, p):
     """Assemble the PK1 stress U diag(p) V^T from principal stresses.
 
     Parameters
     ----------
     svd : RotationVariantSVD
-        Decomposition of the deformation gradient.
-    p : (3,) array_like
+        Decomposition of the deformation gradient, or a stack of them
+        (U, V of shape (..., 3, 3), sigma of shape (..., 3)).
+    p : (3,) or (..., 3) array_like
         Principal PK1 stresses, evaluated at ``svd.sigma``.
     """
     p = np.asarray(p, dtype=float)
-    return (svd.U * p) @ svd.V.T
+    return (svd.U * p[..., None, :]) @ np.swapaxes(svd.V, -1, -2)

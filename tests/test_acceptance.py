@@ -7,7 +7,6 @@ criteria can be audited from the pytest -s output.
 import time
 
 import numpy as np
-import pytest
 
 from stretchlab.cli import verify_table
 from stretchlab.compose import combine, decompose, volumetric_part
@@ -24,7 +23,6 @@ from stretchlab.fem.assembly import ElementBasis, total_energy
 from stretchlab.filtering import filter_nonlinearity
 from stretchlab.lame import (
     IsotropicModuli,
-    LameParams,
     extract_lame,
     lame_to_moduli,
     moduli_to_lame,
