@@ -109,7 +109,7 @@ def cmd_lame(args):
 def cmd_normalize(args):
     target = moduli_to_lame(IsotropicModuli(args.E, args.nu))
     baseline = json.loads(args.params) if args.params else None
-    params = normalize(args.family, target, policy=args.policy, baseline=baseline)
+    params = normalize(args.family, target, baseline=baseline)
     model = make_material(args.family, params)
     got = extract_lame(model, method="analytic", allow_rest_stress=True)
     scale = max(abs(target.lambda_lame), abs(target.mu_lame), 1e-30)
@@ -290,7 +290,6 @@ def build_parser():
     p.add_argument("--E", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--params", help="baseline JSON record for held parameters")
-    p.add_argument("--policy", default="hold-at-default")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("stretch-test", help="unit-cube pull-apart force curve")

@@ -27,7 +27,7 @@ from .errors import InvalidParameterError, NonSeparableFamilyError, UnreachableT
 from .fd import FDConfig
 from .filtering import FilteredMaterial
 from .lame import LameParams, extract_lame
-from .materials import MaterialModel, make_material
+from .materials import MaterialModel, list_catalog, make_material
 
 __all__ = [
     "EnergyPart",
@@ -70,22 +70,11 @@ def _exact_lame(model):
     """
     return extract_lame(model, method="analytic", allow_rest_stress=True)
 
-# families whose energy is linear in (mu, lam) with held extra parameters
-_MU_LAM_SEPARABLE = (
-    "linear_corotational",
-    "st_venant_kirchhoff",
-    "hencky",
-    "seth_hill",
-    "symmetric_seth_hill",
-    "hill",
-    "neo_hookean",
-    "neo_hookean_ogden",
-    "stable_neo_hookean",
-    "sts",
-    "valanis_landel_original",
-)
-
-SEPARABLE_FAMILIES = _MU_LAM_SEPARABLE + ("valanis_landel_new",)
+# families whose energy is linear in (mu, lam) with held extra parameters,
+# and the well family, whose two profiles carry lambda and mu separately
+SEPARABLE_FAMILIES = tuple(
+    d["family"] for d in list_catalog() if {"mu", "lam"} <= d["params"].keys()
+) + ("valanis_landel_new",)
 
 VOLUMETRIC_KINDS = ("j_minus_1_sq", "log_j_sq")
 

@@ -180,28 +180,8 @@ def stress_jacobian_from_svd(svd, grad, hess, project=False):
     return M + (np.swapaxes(modes, -1, -2) * eig[..., None, :]) @ modes
 
 
-def element_stress_jacobian(material, F, method="analytic", project=False, fd_step=1e-6):
-    """dP/dF as a 9x9 matrix acting on row-major vec(dF).
-
-    ``method="fd"`` differentiates :func:`element_pk1` centrally per
-    F-entry and is the test oracle; projection is only available on the
-    analytic path.
-    """
-    if method == "fd":
-        if project:
-            raise ValueError("projection requires the analytic path")
-        F = np.asarray(F, dtype=float)
-        M = np.zeros((9, 9))
-        for a in range(3):
-            for b in range(3):
-                dF = np.zeros((3, 3))
-                dF[a, b] = fd_step
-                Pp = element_pk1(material, F + dF)
-                Pm = element_pk1(material, F - dF)
-                M[:, 3 * a + b] = ((Pp - Pm) / (2.0 * fd_step)).reshape(9)
-        return M
-    if method != "analytic":
-        raise ValueError(f"unknown method '{method}'")
+def element_stress_jacobian(material, F, project=False):
+    """dP/dF as a 9x9 matrix acting on row-major vec(dF)."""
     svd = decompose(F)
     g = material.gradient(svd.sigma)
     H = material.hessian(svd.sigma)

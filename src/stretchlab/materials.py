@@ -13,20 +13,22 @@ gradient and Hessian take one triple (3,) or a stack (..., 3), such as the
 stretches of every element of a mesh, through the same evaluator.
 
 Each family is one row of ``_FAMILIES``: parameter schema, term builder,
-closed-form Lame pair, domain, parameters that must be positive and
-modulus-scale rule. Families whose written form carries a rest stress
+closed-form Lame pair, domain, parameters that must be positive,
+modulus-scale rule, random draw (``sample_params``) and the inverse of the
+Lame pair (``normalize``). Families whose written form carries a rest stress
 (Ogden with one-signed coefficients, Mooney-Rivlin off C2 = -C1/2) are
 flagged ``rest_stable=False``; their rest-Hessian Lame extraction is still
 well defined.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolationError, InvalidParameterError
+from .errors import DomainViolationError, InvalidParameterError, UnreachableTargetError
 from .profiles import Profile, get_profile, half_square
 from .terms import HillCoupling, Pair, Product, Separable, Volumetric
 
@@ -37,6 +39,7 @@ __all__ = [
     "list_catalog",
     "catalog_families",
     "sample_params",
+    "normalize",
     "REST_STABILITY_RTOL",
 ]
 
@@ -260,6 +263,91 @@ def _curvature(p, key):
     return float(get_profile(p[key]).d2(1.0))
 
 
+def _scaled(c, name):
+    """The name of the profile c * name."""
+    return f"scaled:{float(c)!r}:{name}"
+
+
+def _ogden_lame(p):
+    return (0.0, 0.5 * sum(float(m) * (float(a) - 1.0) for m, a in p["terms"]))
+
+
+# ---------------------------------------------------------------------------
+# Random draws and inverse Lame maps. A draw receives the shared mu and lam
+# draws of ``sample_params``; an inverse returns a record whose closed-form
+# Lame pair is the target, holding extra parameters at the baseline's values.
+
+
+def _mu_lam_draw(rng, mu, lam, rest_stable):
+    return {"mu": mu, "lam": lam}
+
+
+def _mu_lam_inverse(lam, mu, base):
+    return {"mu": mu, "lam": lam}
+
+
+def _no_params(*_):
+    return {}
+
+
+def _held(key, draw, default):
+    """Draw and inverse of a mu/lam family with one extra parameter ``key``.
+
+    The inverse holds it at the baseline's value, converted to the type of
+    ``default`` (float, or str for a profile name), else at ``default``.
+    """
+    return {
+        "sample": lambda rng, mu, lam, _: {"mu": mu, "lam": lam, key: draw(rng)},
+        "inverse": lambda lam, mu, base: {
+            "mu": mu, "lam": lam, key: type(default)(base.get(key, default))
+        },
+    }
+
+
+def _draw_exponent(rng):
+    return float(rng.choice([-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+
+
+def _draw_hill_profile(rng):
+    return "log" if rng.random() < 0.5 else f"power:{float(rng.uniform(0.5, 3.0))!r}"
+
+
+def _xu_inverse(lam, mu, base):
+    # f and h absorb the rest curvature of the held pair profile g
+    g = base.get("g", "scaled:0:power_well:2")
+    g2 = float(get_profile(g).d2(1.0))
+    return {"f": _scaled(2.0 * mu - g2, "stretch_well"), "g": g, "h": _scaled(lam - g2, "log_sq")}
+
+
+def _ogden_draw(rng, mu, lam, rest_stable):
+    if rest_stable:
+        # two terms with cancelling rest stress: mu1 + mu2 = 0
+        m1 = float(rng.uniform(1.0, 4.0))
+        return {"terms": [[m1, 2.0], [-m1, -2.0]]}
+    n = int(rng.integers(1, 4))
+    return {
+        "terms": [
+            [float(rng.uniform(0.5, 3.0)), float(rng.choice([-2.0, 1.5, 2.0, 3.0, 4.0]))]
+            for _ in range(n)
+        ]
+    }
+
+
+def _ogden_inverse(lam, mu, base):
+    # the baseline terms, uniformly scaled; the exponents are held
+    terms = [[float(m), float(a)] for m, a in base.get("terms", [[2.0, 2.0]])]
+    mu0 = _ogden_lame({"terms": terms})[1]
+    if mu0 == 0.0:
+        raise UnreachableTargetError("baseline ogden terms have zero mu_lame")
+    scale = mu / mu0
+    return {"terms": [[m * scale, a] for m, a in terms]}
+
+
+def _mooney_rivlin_draw(rng, mu, lam, rest_stable):
+    c1 = float(rng.uniform(0.5, 5.0))
+    return {"c1": c1, "c2": -0.5 * c1 if rest_stable else float(rng.uniform(-1.0, 1.0) * c1)}
+
+
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -272,6 +360,8 @@ class _Family:
     domain: str = "positive"
     positive: tuple = ("mu",)  # parameters that must be > 0
     scale: Optional[Callable] = None  # params -> modulus_scale; default max |Pa parameter|
+    sample: Callable = _mu_lam_draw  # (rng, mu, lam, rest_stable) -> random valid params
+    inverse: Callable = _mu_lam_inverse  # (lambda_lame, mu_lame, baseline) -> params
 
     def modulus_scale(self, p):
         if self.scale is not None:
@@ -291,11 +381,20 @@ _FAMILIES = {
         _MU_LAM, lambda p: _hill(p, _LINEAR, 2.0), domain="unrestricted"
     ),
     "hencky": _Family(_MU_LAM, lambda p: _hill(p, _LOG)),
-    "seth_hill": _Family(_WITH_ALPHA, lambda p: _hill(p, _LINEAR, _exponent(p))),
-    "symmetric_seth_hill": _Family(_WITH_ALPHA, lambda p: _hill(p, _sym_power(_exponent(p)))),
+    "seth_hill": _Family(
+        _WITH_ALPHA,
+        lambda p: _hill(p, _LINEAR, _exponent(p)),
+        **_held("alpha", _draw_exponent, 1.0),
+    ),
+    "symmetric_seth_hill": _Family(
+        _WITH_ALPHA,
+        lambda p: _hill(p, _sym_power(_exponent(p))),
+        **_held("alpha", _draw_exponent, 1.0),
+    ),
     "hill": _Family(
         dict(_MU_LAM, f="profile name (Hill contract)"),
         lambda p: _hill(p, get_profile(p["f"]).check_hill()),
+        **_held("f", _draw_hill_profile, "log"),
     ),
     "neo_hookean": _Family(_MU_LAM, lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ)),
     "neo_hookean_ogden": _Family(_MU_LAM, lambda p: _neo_hookean(p, _LOG_J, _J_MINUS_1_SQ)),
@@ -304,8 +403,13 @@ _FAMILIES = {
         lambda p: _neo_hookean(p, _J_MINUS_1, _J_MINUS_1_SQ),
         lame=lambda p: (float(p["lam"]) - float(p["mu"]), float(p["mu"])),
         domain="unrestricted",
+        inverse=lambda lam, mu, base: {"mu": mu, "lam": lam + mu},
     ),
-    "sts": _Family(dict(_MU_LAM, mu4="Pa"), lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ)),
+    "sts": _Family(
+        dict(_MU_LAM, mu4="Pa"),
+        lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ),
+        **_held("mu4", lambda rng: float(rng.uniform(0.1, 2.0)), 0.0),
+    ),
     # 2 mu sum (l_i (log l_i - 1) + 1) + lam/2 log^2 J
     "valanis_landel_original": _Family(
         _MU_LAM,
@@ -321,6 +425,13 @@ _FAMILIES = {
         lame=lambda p: (_curvature(p, "h"), 0.5 * _curvature(p, "f")),
         positive=(),
         scale=lambda p: max(abs(_curvature(p, "f")), abs(_curvature(p, "h")), 1e-300),
+        sample=lambda rng, mu, lam, _: {
+            "f": _scaled(rng.uniform(0.5, 5.0), "stretch_well"),
+            "h": _scaled(rng.uniform(0.5, 5.0), "log_sq"),
+        },
+        inverse=lambda lam, mu, base: {
+            "f": _scaled(2.0 * mu, "stretch_well"), "h": _scaled(lam, "log_sq")
+        },
     ),
     # sum f(l_i) + sum over the three unordered pairs g(l_i l_j) + h(J)
     "valanis_landel_xu": _Family(
@@ -332,12 +443,20 @@ _FAMILIES = {
         ),
         positive=(),
         scale=lambda p: max(*(abs(_curvature(p, k)) for k in "fgh"), 1e-300),
+        sample=lambda rng, mu, lam, _: {
+            "f": _scaled(rng.uniform(0.5, 5.0), "stretch_well"),
+            "g": _scaled(rng.uniform(0.2, 2.0), "power_well:2"),
+            "h": _scaled(rng.uniform(0.5, 5.0), "j_minus_1_sq"),
+        },
+        inverse=_xu_inverse,
     ),
     "peng_landel": _Family(
         {"E": "Pa"},
         lambda p: [(float(p["E"]), 1.0, Separable(_PENG_LANDEL))],
         lame=lambda p: (0.0, float(p["E"]) / 3.0),
         positive=("E",),
+        sample=lambda rng, mu, lam, _: {"E": float(rng.uniform(0.5, 10.0))},
+        inverse=lambda lam, mu, base: {"E": 3.0 * mu},
     ),
     # sum (l_i - 1)^2, the stretch form of the distance to rotations
     "arap": _Family(
@@ -346,12 +465,16 @@ _FAMILIES = {
         lame=lambda p: (0.0, 1.0),
         domain="unrestricted",
         positive=(),
+        sample=_no_params,
+        inverse=_no_params,
     ),
     # mu/2 sum ((l_i - 1)^2 + (1 - 1/l_i)^2)
     "symmetric_arap": _Family(
         {"mu": "Pa"},
         lambda p: [(float(p["mu"]), 1.0, Separable(half_square(f))) for f in (_LINEAR, _INVERSE)],
         lame=lambda p: (0.0, float(p["mu"])),
+        sample=lambda rng, mu, lam, _: {"mu": mu},
+        inverse=lambda lam, mu, base: {"mu": mu},
     ),
     # 1/2 sum (l_i - 1/l_i)^2
     "symmetric_dirichlet": _Family(
@@ -359,14 +482,18 @@ _FAMILIES = {
         lambda p: [(1.0, 1.0, Separable(_SYM_DIRICHLET))],
         lame=lambda p: (0.0, 2.0),
         positive=(),
+        sample=_no_params,
+        inverse=_no_params,
     ),
     # sum_p mu_p / alpha_p (sum_i l_i^alpha_p - 3), mu_p of either sign
     "ogden": _Family(
         {"terms": "list of [mu_p (Pa), alpha_p (nonzero)]"},
         _ogden,
-        lame=lambda p: (0.0, 0.5 * sum(float(m) * (float(a) - 1.0) for m, a in p["terms"])),
+        lame=_ogden_lame,
         positive=(),
         scale=lambda p: sum(abs(float(m)) for m, _ in p["terms"]),
+        sample=_ogden_draw,
+        inverse=_ogden_inverse,
     ),
     # C1 J^(-2/3) (I1 - 3) + C2 J^(-4/3) (I2 - 3); the rest gradient is
     # 2 C1 + 4 C2 per component, so it is rest-stable only at C2 = -C1/2
@@ -378,8 +505,28 @@ _FAMILIES = {
         ],
         lame=lambda p: (-4.0 / 3.0 * (2.0 * float(p["c1"]) + 5.0 * float(p["c2"])), float(p["c1"])),
         positive=("c1",),
+        sample=_mooney_rivlin_draw,
+        inverse=lambda lam, mu, base: {"c1": mu, "c2": -(3.0 * lam + 8.0 * mu) / 20.0},
     ),
 }
+
+def _row(family):
+    if family not in _FAMILIES:
+        raise InvalidParameterError(
+            f"unknown family '{family}'; known: {sorted(_FAMILIES)}"
+        )
+    return _FAMILIES[family]
+
+
+def _record(family, params, what):
+    """A copy of a parameter mapping; None is the empty record."""
+    if params is None:
+        return {}
+    if not isinstance(params, Mapping):
+        raise InvalidParameterError(
+            f"{family}: {what} must be an object, got {type(params).__name__}"
+        )
+    return dict(params)
 
 
 def make_material(family, params=None):
@@ -389,15 +536,11 @@ def make_material(family, params=None):
     ----------
     family : str
         One of the catalog identifiers (see ``list_catalog``).
-    params : dict, optional
+    params : mapping, optional
         Family parameter record.
     """
-    if family not in _FAMILIES:
-        raise InvalidParameterError(
-            f"unknown family '{family}'; known: {sorted(_FAMILIES)}"
-        )
-    row = _FAMILIES[family]
-    params = dict(params or {})
+    row = _row(family)
+    params = _record(family, params, "parameters")
     if set(params) != set(row.schema):
         raise InvalidParameterError(
             f"{family}: expected parameters {sorted(row.schema)}, got {sorted(params)}"
@@ -433,50 +576,36 @@ def sample_params(family, rng, rest_stable=False):
     region (relevant for ogden and mooney_rivlin, whose written forms
     carry a rest stress for generic parameters).
     """
+    row = _row(family)
     mu = float(rng.uniform(0.5, 5.0))
     lam = float(rng.uniform(-0.5, 5.0) * mu)
-    schema = _FAMILIES[family].schema if family in _FAMILIES else None
-    if schema == _MU_LAM:
-        return {"mu": mu, "lam": lam}
-    if schema == _WITH_ALPHA:
-        alpha = float(rng.choice([-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
-        return {"mu": mu, "lam": lam, "alpha": alpha}
-    if family == "hill":
-        f = "log" if rng.random() < 0.5 else f"power:{float(rng.uniform(0.5, 3.0))!r}"
-        return {"mu": mu, "lam": lam, "f": f}
-    if family == "sts":
-        return {"mu": mu, "lam": lam, "mu4": float(rng.uniform(0.1, 2.0))}
-    if family == "valanis_landel_new":
-        return {
-            "f": f"scaled:{float(rng.uniform(0.5, 5.0))!r}:stretch_well",
-            "h": f"scaled:{float(rng.uniform(0.5, 5.0))!r}:log_sq",
-        }
-    if family == "valanis_landel_xu":
-        return {
-            "f": f"scaled:{float(rng.uniform(0.5, 5.0))!r}:stretch_well",
-            "g": f"scaled:{float(rng.uniform(0.2, 2.0))!r}:power_well:2",
-            "h": f"scaled:{float(rng.uniform(0.5, 5.0))!r}:j_minus_1_sq",
-        }
-    if family == "peng_landel":
-        return {"E": float(rng.uniform(0.5, 10.0))}
-    if family == "arap" or family == "symmetric_dirichlet":
-        return {}
-    if family == "symmetric_arap":
-        return {"mu": mu}
-    if family == "ogden":
-        if rest_stable:
-            # two terms with cancelling rest stress: mu1 + mu2 = 0
-            m1 = float(rng.uniform(1.0, 4.0))
-            return {"terms": [[m1, 2.0], [-m1, -2.0]]}
-        n = int(rng.integers(1, 4))
-        return {
-            "terms": [
-                [float(rng.uniform(0.5, 3.0)), float(rng.choice([-2.0, 1.5, 2.0, 3.0, 4.0]))]
-                for _ in range(n)
-            ]
-        }
-    if family == "mooney_rivlin":
-        c1 = float(rng.uniform(0.5, 5.0))
-        c2 = -0.5 * c1 if rest_stable else float(rng.uniform(-1.0, 1.0) * c1)
-        return {"c1": c1, "c2": c2}
-    raise InvalidParameterError(f"unknown family '{family}'")
+    return row.sample(rng, mu, lam, rest_stable)
+
+
+def normalize(family, target, baseline=None):
+    """Parameters that give a family the target Lame parameters (a ``LameParams``).
+
+    The family's row inverts its closed-form Lame pair; for the
+    two-parameter families that is the unique algebraic inverse. Extra
+    parameters (exponents, profiles, the STS quartic coefficient, the
+    Ogden exponents) are held at their values in ``baseline`` when given,
+    else at family defaults.
+
+    Raises UnreachableTargetError when the closed form at the result misses
+    the target by more than 1e-10 * max(1, |lambda_lame|, |mu_lame|), as for
+    a zero-lambda family asked for a nonzero lambda_lame.
+    """
+    row = _row(family)
+    baseline = _record(family, baseline, "baseline")
+    lam, mu = float(target.lambda_lame), float(target.mu_lame)
+    if mu <= 0.0:
+        raise InvalidParameterError(f"target mu_lame must be positive, got {mu}")
+    params = row.inverse(lam, mu, baseline)
+    got = row.lame(params)
+    if max(abs(got[0] - lam), abs(got[1] - mu)) > 1e-10 * max(1.0, abs(lam), abs(mu)):
+        raise UnreachableTargetError(
+            f"{family} cannot reach (lambda_lame, mu_lame) = ({lam}, {mu}); its "
+            f"parameters give ({got[0]}, {got[1]}). A family with lambda_lame "
+            "identically 0 gets a volumetric part from the compose module"
+        )
+    return params

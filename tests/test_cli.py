@@ -89,6 +89,20 @@ def test_normalize_unreachable_target(capsys):
     assert "compose" in err
 
 
+@pytest.mark.parametrize("params", ["[1]", "5"])
+def test_non_object_params_are_validation_errors(capsys, tmp_path, params):
+    code, _, err = run(capsys, "lame", "--family", "hencky", "--params", params)
+    assert code == 2 and "Traceback" not in err
+    code, _, err = run(
+        capsys, "normalize", "--family", "hencky", "--E", "1e6", "--nu", "0.3", "--params", params
+    )
+    assert code == 2 and "Traceback" not in err
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"family": "hencky", "params": json.loads(params)}))
+    code, _, err = run(capsys, "lame", "--spec", str(spec))
+    assert code == 2 and "Traceback" not in err
+
+
 def test_genmesh_and_modes(capsys, tmp_path):
     mesh_path = tmp_path / "beam.mesh"
     code, out, _ = run(

@@ -127,7 +127,8 @@ ENTRIES = _load() if RECORD.is_file() else []
 
 
 def test_record_covers_every_descriptor():
-    assert [e["name"] for e in ENTRIES] == [name for name, _ in descriptors()]
+    # the full descriptors, so every sample_params draw is pinned too
+    assert [(e["name"], e["desc"]) for e in ENTRIES] == descriptors()
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])

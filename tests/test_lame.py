@@ -124,6 +124,22 @@ def test_normalize_round_trip(family):
     assert abs(got.mu_lame - target.mu_lame) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("family", catalog_families())
+def test_normalize_round_trip_from_draws(family):
+    # every row's inverse reproduces its own closed form, holding the draw's
+    # extra parameters (zero-lambda and parameterless families included)
+    rng = np.random.default_rng(1)
+    for rest_stable in (False, True):
+        draw = sample_params(family, rng, rest_stable=rest_stable)
+        lam, mu = make_material(family, draw).lame_closed_form()
+        if mu <= 0.0:
+            continue
+        params = normalize(family, LameParams(lam, mu), baseline=draw)
+        got = make_material(family, params).lame_closed_form()
+        tol = 1e-10 * max(1.0, abs(lam), abs(mu))
+        assert abs(got[0] - lam) <= tol and abs(got[1] - mu) <= tol
+
+
 def test_normalize_keeps_a_log_based_pair_profile():
     # the held profile's rest curvature enters the other profiles' names
     target = moduli_to_lame(IsotropicModuli(2.5e5, 0.3))
@@ -149,12 +165,6 @@ def test_normalize_zero_poisson_reaches_pure_shear_families():
     got = extract_lame(m)
     assert got.mu_lame == pytest.approx(1.0, rel=1e-10)
     assert abs(got.lambda_lame) < 1e-10
-
-
-def test_minimal_change_policy_not_implemented():
-    target = moduli_to_lame(IsotropicModuli(1e5, 0.3))
-    with pytest.raises(NotImplementedError):
-        normalize("hencky", target, policy="minimal-change")
 
 
 def test_pk1_linearize_fixed_point():

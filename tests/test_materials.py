@@ -1,6 +1,8 @@
 """Material catalog: derivative consistency, symmetry, rest behavior."""
 
+import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,13 @@ PERMS = [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 def test_catalog_has_nineteen_families():
     assert len(list_catalog()) == 19
     assert len(set(catalog_families())) == 19
+
+
+def test_readme_catalog_lists_every_family_in_order():
+    # the first sentence of the README's Catalog section names the families
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Catalog\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"`(\w+)`", section.split(".", 1)[0]) == catalog_families()
 
 
 @pytest.mark.parametrize("family", catalog_families())
