@@ -60,14 +60,6 @@ class SystemMatrices:
     stiffness: np.ndarray
     mass: np.ndarray
     energy: float
-    free_dofs: np.ndarray = None
-
-    def reduced(self):
-        """(force, stiffness, mass) restricted to the free coordinates."""
-        if self.free_dofs is None:
-            return self.force, self.stiffness, self.mass
-        f = self.free_dofs
-        return self.force[f], self.stiffness[np.ix_(f, f)], self.mass[f]
 
 
 def _edge_matrices(x, tets):
@@ -215,11 +207,8 @@ def free_dof_indices(mesh, bc):
     return np.nonzero(mask)[0]
 
 
-def assemble(mesh, material, positions=None, bc=None, project=False, basis=None):
-    """Assemble force, tangent stiffness and lumped mass.
-
-    Matrices cover all coordinates; when ``bc`` is given the result also
-    carries the free-coordinate index set (see ``SystemMatrices.reduced``).
+def assemble(mesh, material, positions=None, project=False, basis=None):
+    """Assemble force, tangent stiffness and lumped mass over all coordinates.
 
     Parameters
     ----------
@@ -227,7 +216,6 @@ def assemble(mesh, material, positions=None, bc=None, project=False, basis=None)
     material : MaterialModel
     positions : (n, 3) ndarray, optional
         Deformed vertex positions; rest positions when omitted.
-    bc : BoundaryCondition, optional
     project : bool
         Clamp each element Hessian positive semidefinite (Newton use).
 
@@ -265,5 +253,4 @@ def assemble(mesh, material, positions=None, bc=None, project=False, basis=None)
         stiffness=K.reshape(ndof, ndof),
         mass=basis.mass.copy(),
         energy=float(vol @ psi),
-        free_dofs=None if bc is None else free_dof_indices(mesh, bc),
     )

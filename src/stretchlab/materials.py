@@ -511,9 +511,9 @@ _FAMILIES = {
 }
 
 def _row(family):
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise InvalidParameterError(
-            f"unknown family '{family}'; known: {sorted(_FAMILIES)}"
+            f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )
     return _FAMILIES[family]
 
@@ -538,6 +538,12 @@ def make_material(family, params=None):
         One of the catalog identifiers (see ``list_catalog``).
     params : mapping, optional
         Family parameter record.
+
+    Raises
+    ------
+    InvalidParameterError
+        For an unknown family, a record that misses or adds keys, or a
+        value that is out of range or of the wrong type.
     """
     row = _row(family)
     params = _record(family, params, "parameters")
@@ -545,15 +551,19 @@ def make_material(family, params=None):
         raise InvalidParameterError(
             f"{family}: expected parameters {sorted(row.schema)}, got {sorted(params)}"
         )
-    for key in row.positive:
-        if float(params[key]) <= 0.0:
-            raise InvalidParameterError(f"{family}: {key} must be positive")
     try:
+        for key in row.positive:
+            if float(params[key]) <= 0.0:
+                raise InvalidParameterError(f"{key} must be positive")
         terms = row.terms(params)
+        scale = row.modulus_scale(params)
+        lame = row.lame(params)
     except InvalidParameterError as err:
         raise InvalidParameterError(f"{family}: {err}") from None
-    scale = row.modulus_scale(params)
-    return MaterialModel(family, params, row.domain, terms, scale, row.lame(params))
+    except (TypeError, ValueError) as err:
+        # a value of the wrong type or shape, such as a list or null for a number
+        raise InvalidParameterError(f"{family}: malformed parameters {params}: {err}") from None
+    return MaterialModel(family, params, row.domain, terms, scale, lame)
 
 
 def catalog_families():
@@ -593,15 +603,19 @@ def normalize(family, target, baseline=None):
 
     Raises UnreachableTargetError when the closed form at the result misses
     the target by more than 1e-10 * max(1, |lambda_lame|, |mu_lame|), as for
-    a zero-lambda family asked for a nonzero lambda_lame.
+    a zero-lambda family asked for a nonzero lambda_lame, and
+    InvalidParameterError for a baseline value of the wrong type or shape.
     """
     row = _row(family)
     baseline = _record(family, baseline, "baseline")
     lam, mu = float(target.lambda_lame), float(target.mu_lame)
     if mu <= 0.0:
         raise InvalidParameterError(f"target mu_lame must be positive, got {mu}")
-    params = row.inverse(lam, mu, baseline)
-    got = row.lame(params)
+    try:
+        params = row.inverse(lam, mu, baseline)
+        got = row.lame(params)
+    except (TypeError, ValueError) as err:
+        raise InvalidParameterError(f"{family}: malformed baseline {baseline}: {err}") from None
     if max(abs(got[0] - lam), abs(got[1] - mu)) > 1e-10 * max(1.0, abs(lam), abs(mu)):
         raise UnreachableTargetError(
             f"{family} cannot reach (lambda_lame, mu_lame) = ({lam}, {mu}); its "

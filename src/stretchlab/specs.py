@@ -36,13 +36,26 @@ __all__ = ["build_material"]
 
 
 def _check_keys(spec, allowed, where):
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"{where} must be an object, got {type(spec).__name__}")
     unknown = set(spec) - set(allowed)
     if unknown:
         raise InvalidParameterError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _number(value, where):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{where} must be a number, got {value!r}") from None
+
+
 def build_material(spec):
-    """Construct a MaterialModel from a parsed JSON spec."""
+    """Construct a MaterialModel from a parsed JSON spec.
+
+    Raises InvalidParameterError for any malformed spec: unknown or
+    missing keys, or a value of the wrong type.
+    """
     if not isinstance(spec, dict):
         raise InvalidParameterError(f"material spec must be an object, got {type(spec).__name__}")
     if "combine" in spec:
@@ -54,7 +67,7 @@ def build_material(spec):
             raise InvalidParameterError("material spec needs 'family' or 'combine'")
         model = make_material(spec["family"], spec.get("params", {}))
     if "alpha" in spec and spec["alpha"] is not None:
-        model = filter_nonlinearity(model, float(spec["alpha"]))
+        model = filter_nonlinearity(model, _number(spec["alpha"], "alpha"))
     return model
 
 
@@ -67,15 +80,16 @@ def _build_combination(cspec):
     for key in ("mu_part", "lambda_part", "E", "nu"):
         if key not in cspec:
             raise InvalidParameterError(f"combine spec: missing '{key}'")
-    target = moduli_to_lame(IsotropicModuli(float(cspec["E"]), float(cspec["nu"])))
+    E, nu = (_number(cspec[key], f"combine spec: {key}") for key in ("E", "nu"))
+    target = moduli_to_lame(IsotropicModuli(E, nu))
     mu_part = _part_from_spec(cspec["mu_part"], "mu")
     lambda_part = _part_from_spec(cspec["lambda_part"], "lambda")
     return combine(
         mu_part,
         lambda_part,
         target,
-        alpha_mu=float(cspec.get("alpha_mu", 1.0)),
-        alpha_lambda=float(cspec.get("alpha_lambda", 1.0)),
+        alpha_mu=_number(cspec.get("alpha_mu", 1.0), "combine spec: alpha_mu"),
+        alpha_lambda=_number(cspec.get("alpha_lambda", 1.0), "combine spec: alpha_lambda"),
     )
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: commands, output formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stretchlab
 from stretchlab.cli import main
 
 
@@ -101,6 +106,27 @@ def test_non_object_params_are_validation_errors(capsys, tmp_path, params):
     spec.write_text(json.dumps({"family": "hencky", "params": json.loads(params)}))
     code, _, err = run(capsys, "lame", "--spec", str(spec))
     assert code == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", ['{"mu": [1], "lam": 1}', '{"mu": null, "lam": 1}'])
+def test_wrongly_typed_params_are_validation_errors(capsys, params):
+    code, _, err = run(capsys, "lame", "--family", "hencky", "--params", params)
+    assert code == 2 and "malformed parameters" in err
+
+
+def test_non_string_family_is_validation_error(capsys, tmp_path):
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"family": ["x"]}))
+    code, _, err = run(capsys, "lame", "--spec", str(spec))
+    assert code == 2 and "unknown family" in err
+
+
+def test_wrongly_typed_baseline_is_validation_error(capsys):
+    code, _, err = run(
+        capsys, "normalize", "--family", "ogden", "--E", "1", "--nu", "0", "--params",
+        '{"terms": 3}',
+    )
+    assert code == 2 and "malformed baseline" in err
 
 
 def test_genmesh_and_modes(capsys, tmp_path):
@@ -232,3 +258,18 @@ def test_verify_table(capsys):
     for entry in data["families"].values():
         assert entry["lame_closure_pass"]
         assert entry["permutation_symmetry_pass"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported lazily by modal_frequencies alone; a module-level
+    # import would raise start-up time and memory of every command
+    src = Path(stretchlab.__file__).resolve().parents[1]
+    probe = (
+        "import sys, stretchlab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -162,6 +162,24 @@ def test_spec_builder_rejects_unknown_keys():
         build_material({"combine": {"mu_part": {"family": "arap"}, "bogus": 1}})
 
 
+_COMBINE = {"mu_part": {"family": "arap"}, "lambda_part": "j_minus_1_sq", "E": 1.0, "nu": 0.3}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "hencky", "params": {"mu": 1.0, "lam": 1.0}, "alpha": [2.0]},
+        {"combine": dict(_COMBINE, E=[1.0])},
+        {"combine": dict(_COMBINE, alpha_mu=None)},
+        {"combine": dict(_COMBINE, mu_part=3)},
+        {"combine": 5},
+    ],
+)
+def test_spec_builder_rejects_wrongly_typed_values(spec):
+    with pytest.raises(InvalidParameterError):
+        build_material(spec)
+
+
 def test_spec_builder_combination():
     model = build_material(
         {

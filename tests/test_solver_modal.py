@@ -1,20 +1,51 @@
 """Quasi-static solves and modal analysis."""
 
+import json
+
 import numpy as np
 import pytest
 
-from stretchlab.errors import ConvergenceError
+from stretchlab.cli import main
+from stretchlab.errors import ConvergenceError, RestInstabilityError
 from stretchlab.fem import (
     BoundaryCondition,
     SolveConfig,
+    assemble,
     generate_mesh,
     modal_frequencies,
     reaction_force,
     solve_quasistatic,
 )
-from stretchlab.materials import make_material
+from stretchlab.fem.assembly import free_dof_indices
+from stretchlab.materials import make_material, sample_params
+from stretchlab.specs import build_material
 
 SNH = ("stable_neo_hookean", {"mu": 1.0e5, "lam": 4.0e5})
+# rest-stable specs for the dense-oracle check: the two specs of the modes
+# benchmark workload at E = 2.5e5, nu = 0.3 (Stable Neo-Hookean takes
+# lam = lambda_lame + mu), then Linear Corotational and SVK
+MODES_SPECS = {
+    "snh": {
+        "family": "stable_neo_hookean",
+        "params": {"mu": 2.5e5 / 2.6, "lam": 2.5e5 * 0.3 / 0.52 + 2.5e5 / 2.6},
+    },
+    "combine": {
+        "combine": {
+            "mu_part": {"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}},
+            "lambda_part": "j_minus_1_sq",
+            "E": 2.5e5,
+            "nu": 0.3,
+            "alpha_mu": 2.0,
+        }
+    },
+    **{
+        family: {"family": family, "params": {"mu": 1.0e5, "lam": 2.0e5}}
+        for family in ("linear_corotational", "st_venant_kirchhoff")
+    },
+}
+# a generic Ogden draw: one term with mu_p > 0 and alpha_p = -2, whose rest
+# stress makes the rest stiffness indefinite
+INDEFINITE_SPEC = {"family": "ogden", "params": sample_params("ogden", np.random.default_rng(0))}
 
 
 def face(mesh, axis, value):
@@ -141,3 +172,72 @@ def test_sliding_constraint_relaxes_reaction():
     slide = BoundaryCondition(vertices=bc.vertices, positions=bc.positions, coords=coords)
     soft = solve_quasistatic(mesh, model, slide)
     assert soft.energy < hard.energy
+
+
+def clamp_left_face(mesh, count=None):
+    left = face(mesh, 0, 0.0)[:count]
+    return BoundaryCondition(vertices=left, positions=mesh.vertices[left])
+
+
+def dense_frequencies(mesh, material, bc, k):
+    """Oracle: a dense eigvalsh of M^-1/2 K M^-1/2 over all free coordinates."""
+    free = free_dof_indices(mesh, bc)
+    sys = assemble(mesh, material)
+    inv_sqrt_m = 1.0 / np.sqrt(sys.mass[free])
+    A = sys.stiffness[np.ix_(free, free)] * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+    w = np.linalg.eigvalsh(0.5 * (A + A.T))[:k]
+    return np.sqrt(w) / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("spec", sorted(MODES_SPECS))
+def test_modal_frequencies_match_dense_oracle(n, spec):
+    mesh = generate_mesh("beam", n)
+    model = build_material(MODES_SPECS[spec])
+    bc = clamp_left_face(mesh)
+    got = modal_frequencies(mesh, model, bc, 6)
+    want = dense_frequencies(mesh, model, bc, 6)
+    assert np.max(np.abs(got - want) / want) < 1e-9
+
+
+def test_modal_frequencies_repeat_bit_identical():
+    mesh = generate_mesh("beam", 2)
+    model = build_material(MODES_SPECS["combine"])
+    bc = clamp_left_face(mesh)
+    first = modal_frequencies(mesh, model, bc, 6)
+    assert np.array_equal(modal_frequencies(mesh, model, bc, 6), first)
+
+
+def test_indefinite_rest_stiffness_raises():
+    mesh = generate_mesh("beam", 1)
+    model = build_material(INDEFINITE_SPEC)
+    assert not model.rest_stable
+    with pytest.raises(RestInstabilityError, match="not positive definite"):
+        modal_frequencies(mesh, model, clamp_left_face(mesh), 6)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_single_vertex_clamp_raises(n):
+    # rotations about the clamped vertex stay free: K is singular on the free set
+    mesh = generate_mesh("beam", n)
+    with pytest.raises(RestInstabilityError, match="rigid motions"):
+        modal_frequencies(mesh, make_material(*SNH), clamp_left_face(mesh, 1), 6)
+
+
+def test_mode_count_out_of_range_raises():
+    mesh = generate_mesh("beam", 1)
+    bc = clamp_left_face(mesh)
+    n_free = len(free_dof_indices(mesh, bc))
+    for k in (0, n_free):
+        with pytest.raises(ValueError, match="modes"):
+            modal_frequencies(mesh, make_material(*SNH), bc, k)
+
+
+def test_cli_modes_indefinite_spec_exits_2(capsys, tmp_path):
+    spec_a, spec_b = tmp_path / "a.json", tmp_path / "b.json"
+    spec_a.write_text(json.dumps(INDEFINITE_SPEC))
+    spec_b.write_text(json.dumps(MODES_SPECS["snh"]))
+    code = main(["modes", "--spec-a", str(spec_a), "--spec-b", str(spec_b), "--n", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not positive definite" in err and "Traceback" not in err
