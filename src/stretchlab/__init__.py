@@ -29,7 +29,7 @@ from .materials import (
     make_material,
     sample_params,
 )
-from .fd import FDConfig, fd_gradient, fd_hessian
+from .fd import fd_gradient, fd_hessian
 from .lame import (
     IsotropicModuli,
     LameParams,

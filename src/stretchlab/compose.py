@@ -3,9 +3,13 @@
 Many families are linear in their two moduli, so their energy separates
 into a volume-coupling part (Lame extraction (1, 0)) and a shear part
 (extraction (0, 1)). Unit-coefficient parts are obtained numerically, by
-solving a 2x2 system built from rest-Hessian Lame extraction of the
-raw terms; this stays robust for families like Stable Neo-Hookean whose
-mu coefficient leaks into the volume coupling.
+solving a 2x2 system built from the analytic rest-Hessian Lame
+extraction of the raw terms; this stays robust for families like Stable
+Neo-Hookean whose mu coefficient leaks into the volume coupling, and
+keeps the part coefficients at machine precision, as the exact
+recombination needs. Each :class:`EnergyPart` checks its unit extraction
+independently, through the finite-difference path of
+``lame.extract_lame(method="fd")``.
 
 Parts from different families recombine freely, optionally with an
 independent nonlinearity exponent on each part. Zero-lambda energies
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NonSeparableFamilyError, UnreachableTargetError
-from .fd import FDConfig
 from .filtering import FilteredMaterial
-from .lame import LameParams, extract_lame
+from .lame import extract_lame
 from .materials import MaterialModel, list_catalog, make_material
 
 __all__ = [
@@ -42,33 +45,6 @@ __all__ = [
 ]
 
 PART_LAME_RTOL = 1e-8
-
-
-def _fd_lame(model, step=2e-4):
-    """Richardson-extrapolated fd Lame extraction (fourth order).
-
-    Plain central differences land near 1e-10 relative accuracy, which is
-    not enough for the 1e-12 recombination contract; one extrapolation
-    level pushes the truncation error below roundoff.
-    """
-    coarse = extract_lame(model, method="fd", allow_rest_stress=True, fd_config=FDConfig(step=step))
-    fine = extract_lame(
-        model, method="fd", allow_rest_stress=True, fd_config=FDConfig(step=step / 2.0)
-    )
-    return LameParams(
-        (4.0 * fine.lambda_lame - coarse.lambda_lame) / 3.0,
-        (4.0 * fine.mu_lame - coarse.mu_lame) / 3.0,
-    )
-
-
-def _exact_lame(model):
-    """Lame extraction from the analytic rest Hessian (machine precision).
-
-    Used wherever a part coefficient feeds an exact-reconstruction
-    contract; even extrapolated finite differences leave 1e-9 relative
-    error, which would leak into the recombined energy.
-    """
-    return extract_lame(model, method="analytic", allow_rest_stress=True)
 
 # families whose energy is linear in (mu, lam) with held extra parameters,
 # and the well family, whose two profiles carry lambda and mu separately
@@ -108,7 +84,7 @@ class EnergyPart:
     def __post_init__(self):
         if self.kind not in ("lambda", "mu"):
             raise InvalidParameterError(f"part kind must be 'lambda' or 'mu', got {self.kind!r}")
-        lame = _fd_lame(self.model)
+        lame = extract_lame(self.model, method="fd", allow_rest_stress=True)
         want = (1.0, 0.0) if self.kind == "lambda" else (0.0, 1.0)
         got = (lame.lambda_lame, lame.mu_lame)
         if max(abs(got[0] - want[0]), abs(got[1] - want[1])) > PART_LAME_RTOL * 1e2:
@@ -143,7 +119,7 @@ def _raw_terms(family, params):
     return a, b
 
 
-def decompose(family, params, fd_config=None):
+def decompose(family, params):
     """Split a separable family into (lambda_part, mu_part).
 
     Returns unit-coefficient :class:`EnergyPart` values; recombining them
@@ -162,12 +138,8 @@ def decompose(family, params, fd_config=None):
             f"'{family}' does not separate into lambda/mu parts"
         )
     raw_a, raw_b = _raw_terms(family, params)
-    if fd_config is not None:
-        ea = extract_lame(raw_a, method="fd", allow_rest_stress=True, fd_config=fd_config)
-        eb = extract_lame(raw_b, method="fd", allow_rest_stress=True, fd_config=fd_config)
-    else:
-        ea = _exact_lame(raw_a)
-        eb = _exact_lame(raw_b)
+    ea = extract_lame(raw_a, allow_rest_stress=True)
+    eb = extract_lame(raw_b, allow_rest_stress=True)
     M = np.array([[ea.lambda_lame, eb.lambda_lame], [ea.mu_lame, eb.mu_lame]])
     if abs(np.linalg.det(M)) < 1e-8 * max(1.0, float(np.abs(M).max()) ** 2):
         raise NonSeparableFamilyError(
@@ -236,7 +208,7 @@ def augment_volumetric(base, target, vol_kind="j_minus_1_sq"):
     Dirichlet, ...); it is rescaled to unit mu_lame and combined with the
     requested Neo-Hookean lambda-part at the target Lame parameters.
     """
-    lame = _exact_lame(base)
+    lame = extract_lame(base, allow_rest_stress=True)
     scale = max(1.0, abs(lame.mu_lame))
     if abs(lame.lambda_lame) > 1e-6 * scale:
         raise UnreachableTargetError(

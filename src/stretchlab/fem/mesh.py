@@ -211,23 +211,30 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path, density=1000.0):
-    """Parse the ASCII ``tetmesh v1`` format."""
+    """Parse the ASCII ``tetmesh v1`` format.
+
+    Raises ValueError naming the file for a missing header or section, a
+    section cut short, or a row with the wrong number of fields.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "tetmesh v1":
         raise ValueError(f"{path}: missing 'tetmesh v1' header")
-    pos = 1
-    tag, n = lines[pos].split()
-    if tag != "vertices":
-        raise ValueError(f"{path}: expected 'vertices N'")
-    n = int(n)
-    verts = np.array([[float(x) for x in lines[pos + 1 + i].split()] for i in range(n)])
-    pos += 1 + n
-    tag, m = lines[pos].split()
-    if tag != "tets":
-        raise ValueError(f"{path}: expected 'tets M'")
-    m = int(m)
-    tets = np.array(
-        [[int(x) for x in lines[pos + 1 + i].split()] for i in range(m)], dtype=int
-    )
-    return TetMesh(vertices=verts, tets=tets, density=density)
+    verts, pos = _read_section(path, lines, 1, "vertices", 3, float)
+    tets, _ = _read_section(path, lines, pos, "tets", 4, int)
+    return TetMesh(vertices=np.array(verts), tets=np.array(tets, dtype=int), density=density)
+
+
+def _read_section(path, lines, pos, tag, width, convert):
+    """The rows of the section ``<tag> N`` starting at ``lines[pos]``."""
+    head = lines[pos].split() if pos < len(lines) else []
+    if len(head) != 2 or head[0] != tag:
+        raise ValueError(f"{path}: expected '{tag} N'")
+    n = int(head[1])
+    if not 0 <= n <= len(lines) - pos - 1:
+        raise ValueError(f"{path}: '{tag} {n}', but {len(lines) - pos - 1} rows follow")
+    rows = [lines[pos + 1 + i].split() for i in range(n)]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: {tag} row {i} has {len(row)} fields, expected {width}")
+    return [[convert(x) for x in row] for row in rows], pos + 1 + n

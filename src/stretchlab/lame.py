@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, RestInstabilityError
-from .fd import FDConfig, fd_hessian
+from .fd import fd_hessian
 from .materials import make_material, normalize
 
 __all__ = [
@@ -51,21 +51,25 @@ class IsotropicModuli:
     nu: float
 
 
-def rest_hessian(model, method="analytic", fd_config=None):
+def rest_hessian(model, method="analytic"):
     """Stretch-Hessian of the energy at the rest triple (1, 1, 1).
 
-    The fd default step is larger than elsewhere (1e-4): second
-    differences at 1e-5 lose five digits to cancellation, which matters
-    for families whose rest gradient does not vanish.
+    ``method="fd"`` returns one Richardson level over central differences,
+    (4 H(h/2) - H(h)) / 3 with h = 2e-4. The O(h^2) truncation cancels,
+    and the steps stay large enough that the second differences keep
+    their digits against cancellation, which matters for families whose
+    rest gradient does not vanish.
     """
     if method == "analytic":
         return model.hessian(_REST)
     if method == "fd":
-        return fd_hessian(model.energy, _REST, fd_config or FDConfig(step=1e-4))
+        coarse = fd_hessian(model.energy, _REST, 2e-4)
+        fine = fd_hessian(model.energy, _REST, 1e-4)
+        return (4.0 * fine - coarse) / 3.0
     raise InvalidParameterError(f"unknown extraction method '{method}'")
 
 
-def extract_lame(model, method="analytic", allow_rest_stress=False, fd_config=None):
+def extract_lame(model, method="analytic", allow_rest_stress=False):
     """Extract (lambda_lame, mu_lame) from a material's rest Hessian.
 
     Parameters
@@ -74,7 +78,9 @@ def extract_lame(model, method="analytic", allow_rest_stress=False, fd_config=No
     method : {"analytic", "fd"}
         ``analytic`` uses the family's closed form when available,
         otherwise the analytic stretch-Hessian; ``fd`` differentiates the
-        energy directly and is the authority when the two disagree.
+        energy directly (Richardson-extrapolated central differences at
+        steps 2e-4 and 1e-4, see ``rest_hessian``) and is the authority
+        when the two disagree.
     allow_rest_stress : bool
         Permit extraction from models with nonzero rest gradient (the
         Hessian-based definition is still evaluated formally, as the
@@ -95,7 +101,7 @@ def extract_lame(model, method="analytic", allow_rest_stress=False, fd_config=No
         closed = model.lame_closed_form()
         if closed is not None:
             return LameParams(float(closed[0]), float(closed[1]))
-    H = rest_hessian(model, method=method, fd_config=fd_config)
+    H = rest_hessian(model, method=method)
     lam = float((H[0, 1] + H[0, 2] + H[1, 2]) / 3.0)
     diag = float(np.trace(H) / 3.0)
     return LameParams(lam, 0.5 * (diag - lam))

@@ -22,14 +22,13 @@ from .compose import (
     VOLUMETRIC_KINDS,
     EnergyPart,
     LinearCombination,
-    _exact_lame,
     combine,
     decompose as decompose_energy,
     volumetric_part,
 )
 from .errors import InvalidParameterError
 from .filtering import filter_nonlinearity
-from .lame import moduli_to_lame, IsotropicModuli
+from .lame import IsotropicModuli, extract_lame, moduli_to_lame
 from .materials import make_material
 
 __all__ = ["build_material"]
@@ -107,7 +106,7 @@ def _part_from_spec(spec, kind):
         lam_part, mu_part = decompose_energy(family, params)
         return lam_part if kind == "lambda" else mu_part
     model = make_material(family, params)
-    lame = _exact_lame(model)
+    lame = extract_lame(model, allow_rest_stress=True)
     value = lame.mu_lame if kind == "mu" else lame.lambda_lame
     other = lame.lambda_lame if kind == "mu" else lame.mu_lame
     scale = max(1.0, abs(value))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stretchlab.errors import DomainViolationError, InvalidParameterError
-from stretchlab.fd import FDConfig, fd_gradient, fd_hessian
+from stretchlab.fd import fd_gradient, fd_hessian
 from stretchlab.filtering import filter_nonlinearity
 from stretchlab.lame import extract_lame
 from stretchlab.materials import make_material, sample_params
@@ -65,17 +65,6 @@ def test_corotational_filtered_is_seth_hill(alpha):
         assert abs(filtered.energy(s) - e) < 1e-10 * max(1.0, abs(e))
 
 
-def fd_lame_extrapolated(model):
-    # one Richardson level kills the O(h^2) truncation that would
-    # otherwise dominate a 1e-8 comparison
-    coarse = extract_lame(model, method="fd", fd_config=FDConfig(step=2e-4))
-    fine = extract_lame(model, method="fd", fd_config=FDConfig(step=1e-4))
-    return (
-        (4.0 * fine.lambda_lame - coarse.lambda_lame) / 3.0,
-        (4.0 * fine.mu_lame - coarse.mu_lame) / 3.0,
-    )
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_rest_hessian_invariance(family, alpha):
@@ -91,9 +80,9 @@ def test_rest_hessian_invariance(family, alpha):
     assert abs(lam1 - l0.lambda_lame) < 1e-8 * scale
     assert abs(mu1 - l0.mu_lame) < 1e-8 * scale
     # fd cross-check, extrapolated; roundoff still leaves a few 1e-8
-    lam2, mu2 = fd_lame_extrapolated(f)
-    assert abs(lam2 - l0.lambda_lame) < 1e-7 * scale
-    assert abs(mu2 - l0.mu_lame) < 1e-7 * scale
+    fd = extract_lame(f, method="fd")
+    assert abs(fd.lambda_lame - l0.lambda_lame) < 1e-7 * scale
+    assert abs(fd.mu_lame - l0.mu_lame) < 1e-7 * scale
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -103,15 +92,14 @@ def test_filtered_derivatives_match_fd(family, alpha):
     rng = np.random.default_rng(zlib.crc32(f"{family}:{alpha}:1".encode()))
     base = make_material(family, sample_params(family, rng))
     f = filter_nonlinearity(base, alpha)
-    cfg = FDConfig()
     for _ in range(25):
         s = rng.uniform(0.5, 2.0, size=3)
         g = f.gradient(s)
         gref = max(1.0, base.modulus_scale, np.max(np.abs(g)))
-        assert np.max(np.abs(g - fd_gradient(f.energy, s, cfg))) < 1e-5 * gref
+        assert np.max(np.abs(g - fd_gradient(f.energy, s))) < 1e-5 * gref
         H = f.hessian(s)
         href = max(1.0, base.modulus_scale, np.max(np.abs(H)))
-        assert np.max(np.abs(H - fd_hessian(f.energy, s, cfg))) < 1e-4 * href
+        assert np.max(np.abs(H - fd_hessian(f.energy, s))) < 1e-4 * href
 
 
 def test_filter_domain_is_positive_stretches():

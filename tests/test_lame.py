@@ -61,6 +61,20 @@ def test_closed_forms_match_fd_extraction(family):
         assert abs(fd.mu_lame - closed[1]) < 1e-5 * scale
 
 
+@pytest.mark.parametrize("family", catalog_families())
+def test_extrapolated_fd_matches_closed_form(family):
+    # on rest-stable draws the extrapolated fd extraction sits near
+    # roundoff; the generic draws above keep the looser 1e-5 because a
+    # rest-stressed Ogden draw loses digits to cancellation (1.6e-6)
+    rng = np.random.default_rng(zlib.crc32(family.encode()) + 2)
+    m = make_material(family, sample_params(family, rng, rest_stable=True))
+    closed = m.lame_closed_form()
+    fd = extract_lame(m, method="fd")
+    scale = max(abs(closed[0]), abs(closed[1]))
+    assert abs(fd.lambda_lame - closed[0]) < 1e-8 * scale
+    assert abs(fd.mu_lame - closed[1]) < 1e-8 * scale
+
+
 def test_rest_hessian_analytic_matches_fd():
     m = make_material("sts", {"mu": 2.0, "lam": 1.0, "mu4": 0.5})
     Ha = rest_hessian(m, method="analytic")
