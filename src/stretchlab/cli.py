@@ -36,6 +36,7 @@ from .materials import catalog_families, make_material, sample_params
 from .specs import build_material
 from .fem import (
     BoundaryCondition,
+    ElementBasis,
     assemble,
     generate_mesh,
     modal_frequencies,
@@ -178,14 +179,16 @@ def cmd_modes(args):
     clamped = _face_vertices(mesh, 0, float(mesh.vertices[:, 0].min()), tol=1e-9)
     bc = BoundaryCondition(vertices=clamped, positions=mesh.vertices[clamped])
 
-    Ka = assemble(mesh, model_a).stiffness
-    Kb = assemble(mesh, model_b).stiffness
+    # one basis, so both stiffnesses share one block pattern
+    basis = ElementBasis(mesh)
+    Ka = assemble(mesh, model_a, basis=basis).stiffness.data
+    Kb = assemble(mesh, model_b, basis=basis).stiffness.data
     denom = np.linalg.norm(Ka) or 1.0
     kdiff = float(np.linalg.norm(Ka - Kb) / denom)
     out = {
         "stiffness_rel_frobenius_diff": kdiff,
-        "frequencies_a_hz": list(modal_frequencies(mesh, model_a, bc, args.k)),
-        "frequencies_b_hz": list(modal_frequencies(mesh, model_b, bc, args.k)),
+        "frequencies_a_hz": list(modal_frequencies(mesh, model_a, bc, args.k, basis=basis)),
+        "frequencies_b_hz": list(modal_frequencies(mesh, model_b, bc, args.k, basis=basis)),
     }
     _emit(out)
     return EXIT_OK

@@ -2,6 +2,8 @@
 
 from .mesh import BoundaryCondition, TetMesh, generate_mesh, read_mesh, write_mesh
 from .assembly import (
+    BlockSparseMatrix,
+    ElementBasis,
     SystemMatrices,
     assemble,
     element_pk1,
@@ -16,6 +18,8 @@ __all__ = [
     "generate_mesh",
     "read_mesh",
     "write_mesh",
+    "BlockSparseMatrix",
+    "ElementBasis",
     "SystemMatrices",
     "assemble",
     "element_pk1",

@@ -19,8 +19,19 @@ F for every element from one batched product with the precomputed Bm,
 one ``decompose`` per element, then one material evaluation on the
 (m, 3) stack of stretches, one (m, 9, 9) dP/dF build, the element forces
 -vol G^T vec(P) and stiffnesses vol G^T dPdF G as batched products, and a
-scatter into the dense global arrays with ``np.bincount`` over index
-tables that ``ElementBasis`` computes once per mesh.
+scatter with ``np.bincount`` over index tables that ``ElementBasis``
+computes once per mesh.
+
+The global stiffness is never dense. It is a ``BlockSparseMatrix`` of
+3x3 blocks in BSR layout, one block per pair of vertices that share a
+tet. ``ElementBasis`` finds that pattern with one ``np.unique`` over the
+16 vertex pairs of every tet and keeps, for each of the 144 entries of
+every element stiffness, its slot among the block values. The scatter
+adds the element entries into those slots in element order, which is the
+order a dense scatter adds them in, so every stored entry is
+bit-identical to the dense K. The container is numpy only: ``modes``
+hands its arrays to ``scipy.sparse``, and the Newton solve densifies it,
+without importing scipy on the ``stretch-test`` path.
 """
 
 import math
@@ -32,6 +43,7 @@ from ..errors import DomainViolationError, InvertedElementError
 from ..stretch_core import RotationVariantSVD, assemble_pk1, decompose
 
 __all__ = [
+    "BlockSparseMatrix",
     "SystemMatrices",
     "element_pk1",
     "element_stress_jacobian",
@@ -48,16 +60,42 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
+class BlockSparseMatrix:
+    """A sparse matrix of 3x3 blocks in BSR layout.
+
+    Block row r holds the blocks ``data[indptr[r]:indptr[r + 1]]`` at the
+    block columns ``indices[indptr[r]:indptr[r + 1]]``, sorted ascending;
+    ``shape`` is the shape in entries. The arrays are those of
+    ``scipy.sparse.bsr_matrix((data, indices, indptr), shape)``.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def toarray(self):
+        """The dense matrix."""
+        nrows = len(self.indptr) - 1
+        rows = np.repeat(np.arange(nrows), np.diff(self.indptr))
+        out = np.zeros(self.shape)
+        out.reshape(nrows, 3, -1, 3)[rows, :, self.indices, :] = self.data
+        return out
+
+
+@dataclass
 class SystemMatrices:
     """Assembled internal force (N), tangent stiffness (N/m), lumped mass (kg).
 
     ``force`` is -grad of the total elastic energy over all coordinates;
-    ``stiffness`` is the full symmetric (3n, 3n) Hessian; ``mass`` is the
-    diagonal of the lumped mass matrix, one entry per coordinate.
+    ``stiffness`` is the full symmetric (3n, 3n) Hessian as a
+    ``BlockSparseMatrix`` with one 3x3 block per pair of vertices that
+    share a tet; ``mass`` is the diagonal of the lumped mass matrix, one
+    entry per coordinate.
     """
 
     force: np.ndarray
-    stiffness: np.ndarray
+    stiffness: BlockSparseMatrix
     mass: np.ndarray
     energy: float
 
@@ -79,6 +117,9 @@ class ElementBasis:
         the order of the element's vertices.
     dofs : (m, 12) ndarray
         Global coordinate index of each element coordinate.
+    indices, indptr : ndarray
+        Block pattern of the stiffness in BSR layout: one 3x3 block per
+        pair of vertices that share a tet, block columns sorted per row.
     volumes : (m,) ndarray
         Rest volumes.
     mass : (3n,) ndarray
@@ -89,15 +130,24 @@ class ElementBasis:
         self.mesh = mesh
         tets = mesh.tets
         m = mesh.num_tets
-        ndof = 3 * mesh.num_vertices
+        nv = mesh.num_vertices
         self.volumes = mesh.rest_volumes
         self.Bm = np.linalg.inv(_edge_matrices(mesh.vertices, tets))
         # F_ab = sum_n x_{n,a} w_{n,b}: vertex 0 weighs minus the column sums of Bm
         w = np.concatenate([-self.Bm.sum(axis=1, keepdims=True), self.Bm], axis=1)
         self.G = np.einsum("enb,ac->eabnc", w, np.eye(3)).reshape(m, 9, 12)
         self.dofs = (3 * tets[:, :, None] + np.arange(3)).reshape(m, 12)
-        # flat (row, column) positions of every element stiffness entry in K
-        self._stiffness_index = (self.dofs[:, :, None] * ndof + self.dofs[:, None, :]).ravel()
+        # the vertex pairs (a, b) of every tet, as row-major keys a * nv + b;
+        # sorted unique keys are the blocks in BSR order
+        keys, block = np.unique(
+            (tets[:, :, None] * nv + tets[:, None, :]).ravel(), return_inverse=True
+        )
+        self.indices = keys % nv
+        self.indptr = np.searchsorted(keys // nv, np.arange(nv + 1))
+        # slot of element entry (3a + p, 3b + q) among the block values: 9 block + 3p + q
+        self._stiffness_slot = (
+            9 * block.reshape(m, 4, 1, 4, 1) + 3 * np.arange(3)[:, None, None] + np.arange(3)
+        ).ravel()
         self.mass = lumped_mass(mesh)
 
     def deformation_gradients(self, positions):
@@ -247,10 +297,12 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
     Ke += Ke.swapaxes(1, 2)
     Ke *= 0.5 * vol[:, None, None]
     force = np.bincount(basis.dofs.ravel(), weights=fe.ravel(), minlength=ndof)
-    K = np.bincount(basis._stiffness_index, weights=Ke.ravel(), minlength=ndof * ndof)
+    nb = len(basis.indices)
+    K = np.bincount(basis._stiffness_slot, weights=Ke.ravel(), minlength=9 * nb)
+    K = BlockSparseMatrix(K.reshape(nb, 3, 3), basis.indices, basis.indptr, (ndof, ndof))
     return SystemMatrices(
         force=force,
-        stiffness=K.reshape(ndof, ndof),
+        stiffness=K,
         mass=basis.mass.copy(),
         energy=float(vol @ psi),
     )

@@ -39,6 +39,10 @@ class TetMesh:
             raise ValueError(f"vertices must be (n, 3), got {self.vertices.shape}")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise ValueError(f"tets must be (m, 4), got {self.tets.shape}")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"vertex {bad} has a non-finite coordinate: {self.vertices[bad]}")
         if self.density <= 0.0:
             raise ValueError(f"density must be positive, got {self.density}")
         n = len(self.vertices)
@@ -214,7 +218,8 @@ def read_mesh(path, density=1000.0):
     """Parse the ASCII ``tetmesh v1`` format.
 
     Raises ValueError naming the file for a missing header or section, a
-    section cut short, or a row with the wrong number of fields.
+    section cut short, a row with the wrong number of fields or a field
+    that is not a number, and for a mesh that ``TetMesh`` rejects.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -222,7 +227,10 @@ def read_mesh(path, density=1000.0):
         raise ValueError(f"{path}: missing 'tetmesh v1' header")
     verts, pos = _read_section(path, lines, 1, "vertices", 3, float)
     tets, _ = _read_section(path, lines, pos, "tets", 4, int)
-    return TetMesh(vertices=np.array(verts), tets=np.array(tets, dtype=int), density=density)
+    try:
+        return TetMesh(vertices=np.array(verts), tets=np.array(tets, dtype=int), density=density)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _read_section(path, lines, pos, tag, width, convert):
@@ -230,11 +238,20 @@ def _read_section(path, lines, pos, tag, width, convert):
     head = lines[pos].split() if pos < len(lines) else []
     if len(head) != 2 or head[0] != tag:
         raise ValueError(f"{path}: expected '{tag} N'")
-    n = int(head[1])
+    n = _parse(path, f"'{tag}' count", head[1], int)
     if not 0 <= n <= len(lines) - pos - 1:
         raise ValueError(f"{path}: '{tag} {n}', but {len(lines) - pos - 1} rows follow")
     rows = [lines[pos + 1 + i].split() for i in range(n)]
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: {tag} row {i} has {len(row)} fields, expected {width}")
-    return [[convert(x) for x in row] for row in rows], pos + 1 + n
+    return [
+        [_parse(path, f"{tag} row {i}", x, convert) for x in row] for i, row in enumerate(rows)
+    ], pos + 1 + n
+
+
+def _parse(path, where, text, convert):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{path}: {where}: cannot read '{text}' as {convert.__name__}") from None

@@ -3,8 +3,10 @@
 Solves the constrained generalized symmetric eigenproblem
 K phi = omega^2 M phi on the free coordinates. With the lumped (diagonal)
 mass M it is the standard problem A psi = omega^2 psi for
-A = M^-1/2 K M^-1/2, which keeps the sparsity of K. The free block of A
-is taken as a sparse CSC matrix, factored once by SuperLU, and the k
+A = M^-1/2 K M^-1/2, which keeps the sparsity of K. The block-sparse K
+of ``assemble`` goes to scipy as a BSR matrix and on to CSR, with its
+explicit zeros dropped, so the free block holds exactly the nonzero
+entries of K. The free block of A is factored once by SuperLU, and the k
 lowest eigenvalues come from ARPACK's Lanczos method in shift-invert mode
 about 0 (``eigsh`` with ``sigma=0``), whose only use of A is a solve with
 that factorization. A fixed start vector makes repeated calls
@@ -31,11 +33,12 @@ from .assembly import assemble, free_dof_indices
 __all__ = ["modal_frequencies"]
 
 
-def modal_frequencies(mesh, material, bc, k):
+def modal_frequencies(mesh, material, bc, k, basis=None):
     """The k lowest vibration frequencies in Hz, sorted ascending.
 
     The stiffness is assembled in the rest configuration; ``bc`` selects
     the clamped vertices (positions are ignored, the rest shape is used).
+    ``basis`` is the mesh's ``ElementBasis``, built here when omitted.
 
     Raises
     ------
@@ -52,8 +55,11 @@ def modal_frequencies(mesh, material, bc, k):
     n = len(free)
     if not 1 <= k < n:
         raise ValueError(f"requested {k} modes; need 1 <= k < {n} free coordinates")
-    sys = assemble(mesh, material)
-    K = sparse.csc_matrix(sys.stiffness)[free][:, free]
+    sys = assemble(mesh, material, basis=basis)
+    S = sys.stiffness
+    K = sparse.bsr_matrix((S.data, S.indices, S.indptr), shape=S.shape).tocsr()
+    K.eliminate_zeros()
+    K = K[free][:, free]
     inv_sqrt_m = sparse.diags(1.0 / np.sqrt(sys.mass[free]))
     A = (inv_sqrt_m @ K @ inv_sqrt_m).tocsc()
     tol = n * np.finfo(float).eps * A.diagonal().max()

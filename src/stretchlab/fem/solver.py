@@ -102,7 +102,7 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None):
                 positions=x, force=full.force, energy=full.energy, iterations=it, residuals=residuals
             )
 
-        Kff = sys.stiffness[np.ix_(free, free)]
+        Kff = sys.stiffness.toarray()[np.ix_(free, free)]
         try:
             step = np.linalg.solve(Kff, r)
         except np.linalg.LinAlgError:

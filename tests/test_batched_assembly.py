@@ -3,8 +3,9 @@
 ``reference_assemble`` and ``reference_total_energy`` are the element
 loops the library used before assembly became one array pass: rest
 quantities, material evaluation, the 9x9 dP/dF built from outer products
-and the scatter, one tet at a time. They are kept here only as the
-oracle for the batched code.
+and the scatter, one tet at a time. ``dense_bincount_stiffness`` is the
+dense scatter the library used before the block-sparse stiffness. Both
+are kept here only as oracles for the library code.
 """
 
 import math
@@ -126,6 +127,22 @@ def reference_assemble(mesh, material, positions, project=False):
     return force, 0.5 * (K + K.T), mass, energy
 
 
+def dense_bincount_stiffness(mesh, material, positions, project=False):
+    """The dense (3n, 3n) K: batched element stiffnesses summed in element
+    order by one ``np.bincount`` over all (3n)^2 positions."""
+    basis = ElementBasis(mesh)
+    ndof = 3 * mesh.num_vertices
+    svd = basis.element_svds(positions)
+    g, H = material.gradient(svd.sigma), material.hessian(svd.sigma)
+    G = basis.G
+    Ke = G.swapaxes(1, 2) @ stress_jacobian_from_svd(svd, g, H, project=project) @ G
+    Ke += Ke.swapaxes(1, 2)
+    Ke *= 0.5 * basis.volumes[:, None, None]
+    index = (basis.dofs[:, :, None] * ndof + basis.dofs[:, None, :]).ravel()
+    K = np.bincount(index, weights=Ke.ravel(), minlength=ndof * ndof)
+    return K.reshape(ndof, ndof)
+
+
 # ---------------------------------------------------------------------------
 # Cases
 
@@ -197,10 +214,30 @@ def test_batched_assembly_matches_element_loop(name, state, project):
     force, K, mass, energy = reference_assemble(MESH, material, x, project=project)
     sys = assemble(MESH, material, x, project=project)
     assert _close(sys.force, force)
-    assert _close(sys.stiffness, K)
+    dense = sys.stiffness.toarray()
+    assert _close(dense, K)
+    assert np.array_equal(dense, dense_bincount_stiffness(MESH, material, x, project=project))
     assert _close(sys.mass, mass)
     assert _close(sys.energy, energy)
     assert _close(total_energy(MESH, material, x), reference_total_energy(MESH, material, x))
+
+
+@pytest.mark.parametrize("kind, n", (("cube", 2), ("beam", 1)))
+def test_block_pattern(kind, n):
+    mesh = generate_mesh(kind, n)
+    K = assemble(mesh, _SNH).stiffness
+    nv = mesh.num_vertices
+    assert K.shape == (3 * nv, 3 * nv)
+    assert K.data.shape == (len(K.indices), 3, 3)
+    assert len(K.indptr) == nv + 1 and K.indptr[0] == 0 and K.indptr[-1] == len(K.indices)
+    assert np.all(np.diff(K.indptr) >= 0)
+    blocks = set()
+    for r in range(nv):
+        cols = K.indices[K.indptr[r] : K.indptr[r + 1]]
+        assert np.all(np.diff(cols) > 0)  # sorted and unique
+        blocks.update((r, int(c)) for c in cols)
+    assert blocks == {(c, r) for r, c in blocks}
+    assert blocks == {(int(a), int(b)) for tet in mesh.tets for a in tet for b in tet}
 
 
 def test_inverted_state_has_a_negative_stretch():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,13 @@ def test_stretch_test_rejects_bad_range(capsys, tmp_path):
         (["vertices 4", "0 0 0", "1 0 0"], "'vertices 4', but 2 rows follow"),
         (["vertices 4", "0 0 0", "1 0 0", "0 1 0", "0 0"], "vertices row 3 has 2 fields"),
         (["vertices 4", "0 0 0", "1 0 0", "0 1 0", "0 0 1"], "expected 'tets N'"),
+        (["vertices x"], "'vertices' count: cannot read 'x' as int"),
+        (["vertices 2", "0 0 0", "0 a 0"], "vertices row 1: cannot read 'a' as float"),
+        (["vertices 1", "0 0 0", "tets 1", "0 0 0 b"], "tets row 0: cannot read 'b' as int"),
+        (
+            ["vertices 4", "0 0 0", "1 0 0", "0 nan 0", "0 0 1", "tets 1", "0 1 2 3"],
+            "vertex 2 has a non-finite coordinate",
+        ),
     ),
 )
 def test_modes_rejects_truncated_mesh(capsys, tmp_path, rows, missing):
@@ -307,16 +315,40 @@ def test_verify_table(capsys):
         assert entry["permutation_symmetry_pass"]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is imported lazily by modal_frequencies alone; a module-level
-    # import would raise start-up time and memory of every command
+    # import would raise start-up time and memory of every command, and the
+    # block-sparse stiffness must not pull it into the Newton solve
     src = Path(stretchlab.__file__).resolve().parents[1]
+    scipy_modules = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    argv = ["stretch-test", "--family", "arap", "--n", "1", "--dmin", "1.0", "--dmax", "1.1",
+            "--steps", "2", "--out", str(tmp_path / "curve.csv")]
     probe = (
-        "import sys, stretchlab.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        f"import sys, stretchlab.cli; print({scipy_modules}); "
+        f"code = stretchlab.cli.main({argv!r}); print(code, {scipy_modules})"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 []"
+
+
+def test_modes_builds_no_dense_stiffness(tmp_path):
+    # a dense float64 K on beam n=4 takes (3 * 425)^2 * 8 bytes, 13.0 MB;
+    # the traced peak of the whole command stays below one such array
+    import scipy.sparse.linalg  # noqa: F401  imported before tracing starts
+
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({"family": "stable_neo_hookean",
+                                "params": {"mu": 1.0e5, "lam": 4.0e5}}))
+    dense_bytes = (3 * 17 * 5 * 5) ** 2 * 8
+    tracemalloc.start()
+    try:
+        code = main(["modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < dense_bytes

@@ -53,6 +53,11 @@ def test_mesh_validation():
         TetMesh(vertices=good, tets=np.array([[1, 0, 2, 3]]))
     with pytest.raises(ValueError):
         TetMesh(vertices=good, tets=tet, density=-1.0)
+    for bad in (np.nan, np.inf):
+        corrupt = good.copy()
+        corrupt[2, 1] = bad
+        with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+            TetMesh(vertices=corrupt, tets=tet)
     disconnected = np.vstack([good, good + 10.0])
     with pytest.raises(ValueError):
         TetMesh(vertices=disconnected, tets=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))

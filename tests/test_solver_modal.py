@@ -184,7 +184,7 @@ def dense_frequencies(mesh, material, bc, k):
     free = free_dof_indices(mesh, bc)
     sys = assemble(mesh, material)
     inv_sqrt_m = 1.0 / np.sqrt(sys.mass[free])
-    A = sys.stiffness[np.ix_(free, free)] * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+    A = sys.stiffness.toarray()[np.ix_(free, free)] * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
     w = np.linalg.eigvalsh(0.5 * (A + A.T))[:k]
     return np.sqrt(w) / (2.0 * np.pi)
 
