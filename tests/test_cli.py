@@ -13,6 +13,7 @@ import pytest
 
 import stretchlab
 from stretchlab.cli import main, verify_table
+from stretchlab.fem import generate_mesh
 
 
 def run(capsys, *argv):
@@ -336,14 +337,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_modes_builds_no_dense_stiffness(tmp_path):
-    # a dense float64 K on beam n=4 takes (3 * 425)^2 * 8 bytes, 13.0 MB;
-    # the traced peak of the whole command stays below one such array
+    # the traced peak of the whole command stays below one dense float64 K
+    # (13.0 MB on beam n=4)
     import scipy.sparse.linalg  # noqa: F401  imported before tracing starts
 
     spec = tmp_path / "a.json"
     spec.write_text(json.dumps({"family": "stable_neo_hookean",
                                 "params": {"mu": 1.0e5, "lam": 4.0e5}}))
-    dense_bytes = (3 * 17 * 5 * 5) ** 2 * 8
+    dense_bytes = (3 * generate_mesh("beam", 4).num_vertices) ** 2 * 8
     tracemalloc.start()
     try:
         code = main(["modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "4"])
