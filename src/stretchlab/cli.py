@@ -122,36 +122,62 @@ def _face_vertices(mesh, axis, value, tol=1e-9):
     return np.nonzero(np.abs(mesh.vertices[:, axis] - value) < tol)[0]
 
 
-def stretch_curve(model, n, d_min, d_max, steps, slide=False, solve_config=None):
+def _initial_guess(tets, path, d):
+    """Start of the solve at distance ``d`` from the converged ``path``.
+
+    The secant predictor extrapolates the last two converged points
+    linearly in the distance. With a single point, two points at one
+    distance, or an extrapolation that gives any tet a non-positive
+    edge-matrix determinant, the last point is scaled along x by
+    d / d_prev instead, a map that inverts no element.
+    """
+    d1, x1 = path[-1]
+    if len(path) > 1 and path[-2][0] != d1:
+        d0, x0 = path[-2]
+        guess = x1 + (d - d1) / (d1 - d0) * (x1 - x0)
+        edges = guess[tets[:, 1:]] - guess[tets[:, :1]]
+        if np.all(np.linalg.det(edges) > 0.0):
+            return guess
+    guess = x1.copy()
+    guess[:, 0] *= d / d1
+    return guess
+
+
+def stretch_curve(model, n, distances, slide=False, solve_config=None):
     """Pull a unit cube apart along x; signed tension force per distance.
 
     Both x-faces are clamped (all coordinates unless ``slide``); the left
-    face stays at x = 0 and the right face is prescribed at x = d. The
-    returned force is the x-reaction on the right face, positive in
-    tension. Distances whose solve fails are skipped with a warning.
+    face stays at x = 0 and the right face is prescribed at x = d for
+    each d of ``distances``, in order. Each solve starts from a
+    continuation predictor over the converged path, which begins at the
+    rest shape (d = 1). The returned force is the x-reaction on the
+    right face, positive in tension. Distances whose solve fails are
+    skipped with a warning.
     """
     mesh = generate_mesh("cube", n, size=1.0)
     left = _face_vertices(mesh, 0, 0.0)
     right = _face_vertices(mesh, 0, 1.0)
     verts = np.concatenate([left, right])
+    coords = None
+    if slide:
+        coords = np.zeros((len(verts), 3), dtype=bool)
+        coords[:, 0] = True
     rows = []
-    warm = None
-    for d in np.linspace(d_min, d_max, steps):
+    path = [(1.0, mesh.vertices)]
+    for d in distances:
+        d = float(d)
         pos = mesh.vertices[verts].copy()
         pos[len(left):, 0] += d - 1.0
-        coords = None
-        if slide:
-            coords = np.zeros((len(verts), 3), dtype=bool)
-            coords[:, 0] = True
         bc = BoundaryCondition(vertices=verts, positions=pos, coords=coords)
+        x0 = _initial_guess(mesh.tets, path, d)
         try:
-            result = solve_quasistatic(mesh, model, bc, config=solve_config, x0=warm)
+            result = solve_quasistatic(mesh, model, bc, config=solve_config, x0=x0)
         except ConvergenceError as err:
             print(f"warning: no convergence at distance {d:g}: {err}", file=sys.stderr)
             continue
-        warm = result.positions
+        path = [path[-1], (d, result.positions)]
         reaction = -reaction_force(result, right)
-        rows.append((float(d), float(reaction[0])))
+        rows.append((d, float(reaction[0])))
     return rows
 
 
@@ -161,7 +187,8 @@ def cmd_stretch_test(args):
         raise InvalidParameterError("require 0 < dmin <= 1 <= dmax")
     if args.steps < 1:
         raise InvalidParameterError(f"require steps >= 1, got {args.steps}")
-    rows = stretch_curve(model, args.n, args.dmin, args.dmax, args.steps, slide=args.slide)
+    distances = np.linspace(args.dmin, args.dmax, args.steps)
+    rows = stretch_curve(model, args.n, distances, slide=args.slide)
     with open(args.out, "w") as fh:
         fh.write("distance,force\n")
         for d, f in rows:

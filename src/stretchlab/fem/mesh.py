@@ -52,7 +52,7 @@ class TetMesh:
         if np.any(self.rest_volumes <= 0.0):
             bad = int(np.argmin(self.rest_volumes))
             raise ValueError(f"non-positive rest volume in element {bad}")
-        if not self._connected():
+        if not _connected(n, self.tets):
             raise ValueError("mesh is not connected")
 
     def _volumes(self):
@@ -63,23 +63,6 @@ class TetMesh:
             axis=2,
         )
         return np.linalg.det(d) / 6.0
-
-    def _connected(self):
-        n = len(self.vertices)
-        parent = np.arange(n)
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for tet in self.tets:
-            r = find(tet[0])
-            for v in tet[1:]:
-                parent[find(v)] = r
-        roots = {find(i) for i in range(n)}
-        return len(roots) == 1
 
     @property
     def num_vertices(self):
@@ -150,28 +133,35 @@ def _cell_tets():
 _CELL_TETS = _cell_tets()
 
 
+def _connected(n, tets):
+    """Whether ``n`` vertices form one component under the tets.
+
+    Min-label propagation with pointer jumping: each round gives every
+    vertex the least label among its tets, then jumps each label to its
+    own label, until nothing changes. Every component ends labelled by
+    its least vertex, so the mesh is connected when all labels are 0.
+    """
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, tets, labels[tets].min(axis=1, keepdims=True))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return n > 0 and not labels.any()
+        labels = new
+
+
 def _grid(cells, extent, density):
+    """Vertices in (i, j, k) row-major order; six tets per cell, cells in
+    the same order."""
     nx, ny, nz = cells
     xs = [np.linspace(0.0, extent[a], cells[a] + 1) for a in range(3)]
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    verts = np.zeros(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            for k in range(nz + 1):
-                verts[vid(i, j, k)] = (xs[0][i], xs[1][j], xs[2][k])
-
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                for corners in _CELL_TETS:
-                    tets.append(
-                        [vid(i + c[0], j + c[1], k + c[2]) for c in corners]
-                    )
-    return TetMesh(vertices=verts, tets=np.array(tets, dtype=int), density=density)
+    verts = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    ids = np.arange(verts.shape[0]).reshape(nx + 1, ny + 1, nz + 1)
+    corners = np.array(_CELL_TETS)  # (6, 4, 3) cell-corner offsets
+    offsets = ids[corners[..., 0], corners[..., 1], corners[..., 2]]
+    tets = ids[:nx, :ny, :nz].reshape(-1, 1, 1) + offsets
+    return TetMesh(vertices=verts, tets=tets.reshape(-1, 4), density=density)
 
 
 def generate_mesh(kind, resolution, size=1.0, density=1000.0):

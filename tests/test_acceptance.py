@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from stretchlab.cli import verify_table
+from stretchlab.cli import stretch_curve, verify_table
 from stretchlab.compose import combine, decompose, volumetric_part
 from stretchlab.fd import fd_gradient, fd_hessian
 from stretchlab.fem import (
@@ -16,8 +16,6 @@ from stretchlab.fem import (
     assemble,
     generate_mesh,
     modal_frequencies,
-    reaction_force,
-    solve_quasistatic,
 )
 from stretchlab.fem.assembly import ElementBasis, total_energy
 from stretchlab.filtering import filter_nonlinearity
@@ -214,23 +212,6 @@ def test_criterion_6_normalization_on_beam():
     )
 
 
-def _stretch_forces(model, n, distances):
-    mesh = generate_mesh("cube", n)
-    left = np.nonzero(mesh.vertices[:, 0] < 1e-9)[0]
-    right = np.nonzero(np.abs(mesh.vertices[:, 0] - 1.0) < 1e-9)[0]
-    verts = np.concatenate([left, right])
-    forces = {}
-    warm = None
-    for d in distances:
-        pos = mesh.vertices[verts].copy()
-        pos[len(left):, 0] += d - 1.0
-        bc = BoundaryCondition(vertices=verts, positions=pos)
-        result = solve_quasistatic(mesh, model, bc, x0=warm)
-        warm = result.positions
-        forces[d] = float(-reaction_force(result, right)[0])
-    return forces
-
-
 def test_criterion_7_stretch_curves():
     # unit-cube stretch test at n = 4 for normalized SNH with
     # nonlinearity exponents 0.5, 1, 2; runtime < 2 min
@@ -242,7 +223,9 @@ def test_criterion_7_stretch_curves():
     curves = {}
     for alpha in (0.5, 1.0, 2.0):
         model = filter_nonlinearity(base, alpha)
-        curves[alpha] = _stretch_forces(model, 4, inner + outer)
+        rows = stretch_curve(model, 4, inner + outer)
+        assert [d for d, _ in rows] == inner + outer  # no distance skipped
+        curves[alpha] = dict(rows)
 
     # (a) the alpha = 1 curve is concave on [1.2, 2.0]
     f1 = [curves[1.0][d] for d in outer]

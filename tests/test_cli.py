@@ -6,13 +6,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stretchlab
+import stretchlab.cli
 from stretchlab.cli import main, verify_table
+from stretchlab.errors import InvertedElementError
 from stretchlab.fem import generate_mesh
 
 
@@ -205,30 +208,72 @@ def test_stretch_test_csv(capsys, tmp_path):
     assert rows[0][1] < 0.0 < rows[-1][1]
 
 
-def test_inverted_element_exit_code(capsys, tmp_path):
-    # compression below 1 - 1/n inverts the last element layer of the
-    # initial guess; the solve reports it as a convergence failure
-    code, _, err = run(
-        capsys,
-        "stretch-test",
-        "--family",
-        "hencky",
-        "--params",
-        '{"mu": 1e5, "lam": 4e5}',
-        "--n",
-        "2",
-        "--dmin",
-        "0.4",
-        "--dmax",
-        "1.0",
-        "--steps",
-        "1",
-        "--out",
-        str(tmp_path / "curve.csv"),
+def stretch_rows(capsys, tmp_path, *argv):
+    out_path = tmp_path / "curve.csv"
+    code, out, err = run(capsys, "stretch-test", *argv, "--out", str(out_path))
+    lines = out_path.read_text().strip().splitlines() if out_path.exists() else []
+    return code, err, [tuple(map(float, ln.split(","))) for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("n, dmin", [("2", "0.4"), ("4", "0.5")])
+def test_compression_below_one_layer_converges(capsys, tmp_path, n, dmin):
+    # defect 4(a): below d = 1 - 1/n, moving only the right face inverts
+    # the last element layer, so the solve must start from a guess that
+    # keeps every tet positively oriented
+    code, err, rows = stretch_rows(
+        capsys, tmp_path, "--family", "hencky", "--params", '{"mu": 1e5, "lam": 4e5}',
+        "--n", n, "--dmin", dmin, "--dmax", "1.0", "--steps", "1",
+    )
+    assert code == 0, err
+    assert len(rows) == 1 and rows[0][0] == float(dmin) and rows[0][1] < 0.0
+
+
+def test_inverted_element_exit_code(capsys, tmp_path, monkeypatch):
+    def inverted(*args, **kwargs):
+        raise InvertedElementError("element 7: stretches outside the domain")
+
+    monkeypatch.setattr(stretchlab.cli, "solve_quasistatic", inverted)
+    code, err, _ = stretch_rows(
+        capsys, tmp_path, "--family", "hencky", "--params", '{"mu": 1e5, "lam": 4e5}', "--n", "1",
+        "--dmin", "0.9", "--dmax", "1.0", "--steps", "2",
     )
     assert code == 3
     lines = err.strip().splitlines()
     assert len(lines) == 1 and re.search(r"element \d+", lines[0])
+
+
+def test_near_incompressible_stretch_writes_every_row(capsys, tmp_path):
+    # the near-incompressible probe: lam/mu = 1000 on cube n=2
+    code, err, rows = stretch_rows(
+        capsys, tmp_path, "--family", "stable_neo_hookean", "--params",
+        '{"mu": 1e5, "lam": 1e8}', "--n", "2", "--dmin", "1.0", "--dmax", "1.2",
+        "--steps", "2",
+    )
+    assert code == 0 and "warning" not in err
+    assert [d for d, _ in rows] == [1.0, 1.2] and rows[1][1] > 0.0
+
+
+def test_repeated_distances(capsys, tmp_path):
+    # the path holds points that share a distance; no extrapolation over them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err, rows = stretch_rows(
+            capsys, tmp_path, "--family", "arap", "--n", "2", "--dmin", "1", "--dmax", "1",
+            "--steps", "3",
+        )
+    assert code == 0 and "warning" not in err
+    assert rows == [(1.0, 0.0)] * 3
+
+
+def test_stretch_test_slide(capsys, tmp_path):
+    code, err, rows = stretch_rows(
+        capsys, tmp_path, "--family", "stable_neo_hookean", "--params",
+        '{"mu": 1e5, "lam": 4e5}', "--n", "2", "--dmin", "0.9", "--dmax", "1.2",
+        "--steps", "4", "--slide",
+    )
+    assert code == 0 and "warning" not in err
+    assert len(rows) == 4
+    assert rows[0][1] < 0.0 < rows[2][1] < rows[3][1]
 
 
 def test_stretch_test_rejects_bad_range(capsys, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stretchlab.fem import BoundaryCondition, TetMesh, generate_mesh, read_mesh, write_mesh
+from stretchlab.fem.mesh import _CELL_TETS, _connected
 
 
 def test_unit_cube_resolution_one():
@@ -95,3 +96,89 @@ def test_boundary_condition_masks():
     assert np.all(x[1] == mesh.vertices[1] + 1.0)
     with pytest.raises(ValueError):
         BoundaryCondition(vertices=np.array([], dtype=int), positions=np.zeros((0, 3)))
+
+
+# -- the per-cell and per-tet loops that the vectorized mesh code replaced,
+# kept as oracles
+
+
+def grid_loops(cells, extent):
+    nx, ny, nz = cells
+    xs = [np.linspace(0.0, extent[a], cells[a] + 1) for a in range(3)]
+
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    verts = np.zeros(((nx + 1) * (ny + 1) * (nz + 1), 3))
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            for k in range(nz + 1):
+                verts[vid(i, j, k)] = (xs[0][i], xs[1][j], xs[2][k])
+    tets = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                for corners in _CELL_TETS:
+                    tets.append([vid(i + c[0], j + c[1], k + c[2]) for c in corners])
+    return verts, np.array(tets, dtype=int)
+
+
+def connected_loops(n, tets):
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for tet in tets:
+        r = find(tet[0])
+        for v in tet[1:]:
+            parent[find(v)] = r
+    return len({find(i) for i in range(n)}) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, n", [*(("cube", n) for n in range(1, 5)), *(("beam", n) for n in range(1, 4))]
+)
+def test_generated_mesh_matches_loop_oracle(kind, n):
+    # the tet order fixes the order of every element sum downstream
+    mesh = generate_mesh(kind, n)
+    cells, extent = ((n,) * 3, (1.0,) * 3) if kind == "cube" else ((4 * n, n, n), (1.0, 0.25, 0.25))
+    verts, tets = grid_loops(cells, extent)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.tets, tets)
+    assert mesh.tets.dtype == tets.dtype
+
+
+def test_connectivity_matches_union_find_oracle():
+    rng = np.random.default_rng(0)
+    seen = set()
+    for n in (1, 2, 5, 12, 40, 120):
+        for m in (0, 1, n // 8, n // 4, n // 2, n):
+            for _ in range(10):
+                tets = rng.integers(0, n, size=(m, 4))
+                expected = connected_loops(n, tets)
+                assert _connected(n, tets) == expected, (n, tets)
+                seen.add(expected)
+    assert seen == {True, False}
+    # a path 0 - 1 - ... - 199 listed from its far end, so that labels
+    # travel against the tet order
+    chain = np.array([[i, i, i + 1, i + 1] for i in reversed(range(199))])
+    assert _connected(200, chain)
+    assert not _connected(201, chain)
+    assert not _connected(0, np.zeros((0, 4), dtype=int))
+
+
+def test_mesh_with_an_unused_vertex_is_rejected():
+    mesh = generate_mesh("cube", 2)
+    with pytest.raises(ValueError, match="not connected"):
+        TetMesh(vertices=np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), tets=mesh.tets)
+    # two disjoint copies of a cube
+    shifted = mesh.tets + mesh.num_vertices
+    with pytest.raises(ValueError, match="not connected"):
+        TetMesh(
+            vertices=np.vstack([mesh.vertices, mesh.vertices + 3.0]),
+            tets=np.vstack([mesh.tets, shifted]),
+        )
