@@ -10,7 +10,8 @@ verify-table  closed-form vs finite-difference Lame check for the catalog
 genmesh       write a generated cube/beam mesh file
 
 Exit codes: 0 success, 2 validation error or any other library error,
-3 convergence failure or an inverted element, 4 verification failure.
+3 convergence failure (a stretch-test distance skipped, too) or an
+inverted element, 4 verification failure.
 """
 
 import argparse
@@ -150,11 +151,14 @@ def stretch_curve(model, n, distances, slide=False, solve_config=None):
     face stays at x = 0 and the right face is prescribed at x = d for
     each d of ``distances``, in order. Each solve starts from a
     continuation predictor over the converged path, which begins at the
-    rest shape (d = 1). The returned force is the x-reaction on the
-    right face, positive in tension. Distances whose solve fails are
-    skipped with a warning.
+    rest shape (d = 1), and all solves share one ``ElementBasis``.
+
+    Returns ``(rows, skipped)``: rows are (d, force) for the distances
+    that converged, the force the x-reaction on the right face, positive
+    in tension; skipped are (d, ConvergenceError) for those that did not.
     """
     mesh = generate_mesh("cube", n, size=1.0)
+    basis = ElementBasis(mesh)
     left = _face_vertices(mesh, 0, 0.0)
     right = _face_vertices(mesh, 0, 1.0)
     verts = np.concatenate([left, right])
@@ -162,7 +166,7 @@ def stretch_curve(model, n, distances, slide=False, solve_config=None):
     if slide:
         coords = np.zeros((len(verts), 3), dtype=bool)
         coords[:, 0] = True
-    rows = []
+    rows, skipped = [], []
     path = [(1.0, mesh.vertices)]
     for d in distances:
         d = float(d)
@@ -171,14 +175,16 @@ def stretch_curve(model, n, distances, slide=False, solve_config=None):
         bc = BoundaryCondition(vertices=verts, positions=pos, coords=coords)
         x0 = _initial_guess(mesh.tets, path, d)
         try:
-            result = solve_quasistatic(mesh, model, bc, config=solve_config, x0=x0)
+            result = solve_quasistatic(
+                mesh, model, bc, config=solve_config, x0=x0, basis=basis
+            )
         except ConvergenceError as err:
-            print(f"warning: no convergence at distance {d:g}: {err}", file=sys.stderr)
+            skipped.append((d, err))
             continue
         path = [path[-1], (d, result.positions)]
-        reaction = -reaction_force(result, right)
-        rows.append((d, float(reaction[0])))
-    return rows
+        # 0.0 - f rather than -f, so that a zero reaction is 0, not -0
+        rows.append((d, 0.0 - float(reaction_force(result, right)[0])))
+    return rows, skipped
 
 
 def cmd_stretch_test(args):
@@ -188,13 +194,15 @@ def cmd_stretch_test(args):
     if args.steps < 1:
         raise InvalidParameterError(f"require steps >= 1, got {args.steps}")
     distances = np.linspace(args.dmin, args.dmax, args.steps)
-    rows = stretch_curve(model, args.n, distances, slide=args.slide)
+    rows, skipped = stretch_curve(model, args.n, distances, slide=args.slide)
     with open(args.out, "w") as fh:
         fh.write("distance,force\n")
         for d, f in rows:
             fh.write(f"{d:.17g},{f:.17g}\n")
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    for d, err in skipped:
+        print(f"convergence failure: distance {d:g} skipped: {err}", file=sys.stderr)
+    return EXIT_CONVERGENCE if skipped else EXIT_OK
 
 
 def cmd_modes(args):

@@ -22,6 +22,13 @@ one ``decompose`` per element, then one material evaluation on the
 scatter with ``np.bincount`` over index tables that ``ElementBasis``
 computes once per mesh.
 
+Without positions the configuration is the rest shape, where F = I for
+every element. Its decomposition is then exact, U = V = I and
+sigma = (1, 1, 1), not the SVD of Ds Bm, which is I only up to roundoff.
+It is a stack of one that broadcasts over the elements: the material and
+dP/dF are evaluated once, and only the G^T products and the scatter run
+per element.
+
 The global stiffness is never dense. It is a ``BlockSparseMatrix`` of
 3x3 blocks in BSR layout, one block per pair of vertices that share a
 tet. ``ElementBasis`` finds that pattern with one ``np.unique`` over the
@@ -156,7 +163,14 @@ class ElementBasis:
         return _edge_matrices(positions, self.mesh.tets) @ self.Bm
 
     def element_svds(self, positions):
-        """Rotation-variant SVDs of every element, stacked along a leading axis."""
+        """Rotation-variant SVDs of every element, stacked along a leading axis.
+
+        With ``positions`` None it is the exact rest decomposition of F = I,
+        a stack of one that broadcasts over the elements.
+        """
+        if positions is None:
+            eye = np.eye(3)[None]
+            return RotationVariantSVD(U=eye, V=eye, sigma=np.ones((1, 3)))
         parts = [decompose(F) for F in self.deformation_gradients(positions)]
         return RotationVariantSVD(
             U=np.stack([p.U for p in parts]),
@@ -265,7 +279,9 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
     mesh : TetMesh
     material : MaterialModel
     positions : (n, 3) ndarray, optional
-        Deformed vertex positions; rest positions when omitted.
+        Deformed vertex positions. When omitted the mesh is at rest: every
+        element has the exact decomposition F = I, and the material and
+        dP/dF are evaluated once for all of them, with no SVD.
     project : bool
         Clamp each element Hessian positive semidefinite (Newton use).
 
@@ -275,8 +291,6 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
         When an element leaves the material's validity domain; carries
         the lowest such element index.
     """
-    if positions is None:
-        positions = mesh.vertices
     basis = basis or ElementBasis(mesh)
     ndof = 3 * mesh.num_vertices
     svd = basis.element_svds(positions)
@@ -304,5 +318,5 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
         force=force,
         stiffness=K,
         mass=basis.mass.copy(),
-        energy=float(vol @ psi),
+        energy=float(vol @ np.broadcast_to(psi, vol.shape)),
     )

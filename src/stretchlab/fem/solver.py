@@ -58,7 +58,7 @@ def _force_tolerance(mesh, material, config):
     return config.rtol * max(1.0, material.modulus_scale) * mesh.total_volume() ** (2.0 / 3.0)
 
 
-def solve_quasistatic(mesh, material, bc, config=None, x0=None):
+def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
     """Find static equilibrium under prescribed boundary positions.
 
     Parameters
@@ -71,6 +71,8 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None):
     config : SolveConfig, optional
     x0 : (n, 3) ndarray, optional
         Warm-start positions (the prescribed values are re-applied).
+    basis : ElementBasis, optional
+        The mesh's basis, built here when omitted.
 
     Raises
     ------
@@ -79,7 +81,7 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None):
         tolerance; carries the residual history.
     """
     config = config or SolveConfig()
-    basis = ElementBasis(mesh)
+    basis = basis or ElementBasis(mesh)
     free = free_dof_indices(mesh, bc)
     tol = _force_tolerance(mesh, material, config)
 

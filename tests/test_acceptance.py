@@ -223,8 +223,8 @@ def test_criterion_7_stretch_curves():
     curves = {}
     for alpha in (0.5, 1.0, 2.0):
         model = filter_nonlinearity(base, alpha)
-        rows = stretch_curve(model, 4, inner + outer)
-        assert [d for d, _ in rows] == inner + outer  # no distance skipped
+        rows, skipped = stretch_curve(model, 4, inner + outer)
+        assert not skipped and [d for d, _ in rows] == inner + outer
         curves[alpha] = dict(rows)
 
     # (a) the alpha = 1 curve is concave on [1.2, 2.0]

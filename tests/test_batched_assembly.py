@@ -15,10 +15,12 @@ import pytest
 from test_golden import ENTRIES, build
 
 from stretchlab.errors import DomainViolationError, InvertedElementError
+import stretchlab.fem.assembly
 from stretchlab.fem import assemble, generate_mesh
 from stretchlab.fem.assembly import ElementBasis, stress_jacobian_from_svd, total_energy
 from stretchlab.filtering import filter_nonlinearity
-from stretchlab.materials import make_material
+from stretchlab.materials import make_material, sample_params
+from stretchlab.specs import build_material
 from stretchlab.stretch_core import RotationVariantSVD, assemble_pk1, decompose
 
 RTOL = 1e-12
@@ -220,6 +222,49 @@ def test_batched_assembly_matches_element_loop(name, state, project):
     assert _close(sys.mass, mass)
     assert _close(sys.energy, energy)
     assert _close(total_energy(MESH, material, x), reference_total_energy(MESH, material, x))
+
+
+# the rest configuration: no positions, the exact decomposition of F = I
+REST_MATERIALS = {
+    "stable_neo_hookean": _SNH,
+    "st_venant_kirchhoff": MATERIALS["st_venant_kirchhoff"],
+    "hencky": _HENCKY,
+    # a generic draw, stressed at rest
+    "ogden:generic": make_material("ogden", sample_params("ogden", np.random.default_rng(0))),
+    "stable_neo_hookean:alpha=0.2": MATERIALS["stable_neo_hookean:alpha=0.2"],
+    "stable_neo_hookean:alpha=4": MATERIALS["stable_neo_hookean:alpha=4"],
+    # spec B of the modes benchmark workload
+    "combine": build_material(
+        {
+            "combine": {
+                "mu_part": {"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}},
+                "lambda_part": "j_minus_1_sq",
+                "E": 2.5e5,
+                "nu": 0.3,
+                "alpha_mu": 2.0,
+            }
+        }
+    ),
+}
+
+
+def _no_svd(F):
+    raise AssertionError("decompose called in a rest assembly")
+
+
+@pytest.mark.parametrize("project", (False, True))
+@pytest.mark.parametrize("kind, n", (("cube", 2), ("beam", 1)))
+@pytest.mark.parametrize("name", list(REST_MATERIALS))
+def test_rest_assembly_matches_rest_positions_without_svd(name, kind, n, project, monkeypatch):
+    material = REST_MATERIALS[name]
+    mesh = generate_mesh(kind, n)
+    basis = ElementBasis(mesh)
+    ref = assemble(mesh, material, mesh.vertices, project=project, basis=basis)
+    monkeypatch.setattr(stretchlab.fem.assembly, "decompose", _no_svd)
+    sys = assemble(mesh, material, project=project, basis=basis)
+    assert _close(sys.force, ref.force)
+    assert _close(sys.stiffness.toarray(), ref.stiffness.toarray())
+    assert _close(sys.energy, ref.energy)
 
 
 @pytest.mark.parametrize("kind, n", (("cube", 2), ("beam", 1)))

@@ -14,9 +14,10 @@ import pytest
 
 import stretchlab
 import stretchlab.cli
-from stretchlab.cli import _initial_guess, main, verify_table
-from stretchlab.errors import InvertedElementError
-from stretchlab.fem import generate_mesh
+from stretchlab.cli import _initial_guess, main, stretch_curve, verify_table
+from stretchlab.errors import ConvergenceError, InvertedElementError
+from stretchlab.fem import ElementBasis, generate_mesh
+from stretchlab.materials import make_material
 
 
 def run(capsys, *argv):
@@ -263,6 +264,45 @@ def test_repeated_distances(capsys, tmp_path):
         )
     assert code == 0 and "warning" not in err
     assert rows == [(1.0, 0.0)] * 3
+    # a zero reaction is written as 0, not -0
+    assert (tmp_path / "curve.csv").read_text().splitlines()[1:] == ["1,0"] * 3
+
+
+def test_skipped_distance_exits_3_and_keeps_the_other_rows(capsys, tmp_path, monkeypatch):
+    solve = stretchlab.cli.solve_quasistatic
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(kwargs["x0"])
+        if len(calls) == 2:
+            raise ConvergenceError("no convergence after 100 iterations")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stretchlab.cli, "solve_quasistatic", fail_second)
+    code, err, rows = stretch_rows(
+        capsys, tmp_path, "--family", "stable_neo_hookean", "--params",
+        '{"mu": 1e5, "lam": 4e5}', "--n", "1", "--dmin", "1.0", "--dmax", "1.2",
+        "--steps", "3",
+    )
+    assert code == 3 and len(calls) == 3
+    assert [d for d, _ in rows] == [1.0, 1.2] and rows[1][1] > 0.0
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "distance 1.1 skipped" in lines[0]
+
+
+def test_stretch_curve_builds_one_basis(monkeypatch):
+    built = []
+    init = ElementBasis.__init__
+
+    def counting_init(self, mesh):
+        built.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(ElementBasis, "__init__", counting_init)
+    model = make_material("stable_neo_hookean", {"mu": 1e5, "lam": 4e5})
+    rows, skipped = stretch_curve(model, 2, [0.9, 1.1, 1.2, 1.3])
+    assert len(rows) == 4 and not skipped
+    assert len(built) == 1
 
 
 def test_stretch_test_slide(capsys, tmp_path):

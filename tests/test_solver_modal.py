@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import stretchlab.fem.assembly
 from stretchlab.cli import main
 from stretchlab.errors import ConvergenceError, RestInstabilityError
 from stretchlab.fem import (
@@ -231,6 +232,22 @@ def test_mode_count_out_of_range_raises():
     for k in (0, n_free):
         with pytest.raises(ValueError, match="modes"):
             modal_frequencies(mesh, make_material(*SNH), bc, k)
+
+
+def test_cli_modes_runs_no_svd(capsys, tmp_path, monkeypatch):
+    def no_svd(F):
+        raise AssertionError("decompose called in a rest assembly")
+
+    monkeypatch.setattr(stretchlab.fem.assembly, "decompose", no_svd)
+    paths = []
+    for name in ("snh", "combine"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(MODES_SPECS[name]))
+    code = main(["modes", "--spec-a", str(paths[0]), "--spec-b", str(paths[1]), "--n", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["stiffness_rel_frobenius_diff"] <= 1e-12
+    assert len(out["frequencies_a_hz"]) == 6
 
 
 def test_cli_modes_indefinite_spec_exits_2(capsys, tmp_path):
