@@ -175,9 +175,7 @@ def stretch_curve(model, n, distances, slide=False, solve_config=None):
         bc = BoundaryCondition(vertices=verts, positions=pos, coords=coords)
         x0 = _initial_guess(mesh.tets, path, d)
         try:
-            result = solve_quasistatic(
-                mesh, model, bc, config=solve_config, x0=x0, basis=basis
-            )
+            result = solve_quasistatic(mesh, model, bc, config=solve_config, x0=x0, basis=basis)
         except ConvergenceError as err:
             skipped.append((d, err))
             continue

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from test_golden import ENTRIES, build
 
-from stretchlab.errors import DomainViolationError, InvertedElementError
 import stretchlab.fem.assembly
+from stretchlab.errors import DomainViolationError, InvertedElementError
 from stretchlab.fem import assemble, generate_mesh
 from stretchlab.fem.assembly import ElementBasis, stress_jacobian_from_svd, total_energy
 from stretchlab.filtering import filter_nonlinearity

@@ -273,7 +273,7 @@ def test_skipped_distance_exits_3_and_keeps_the_other_rows(capsys, tmp_path, mon
     calls = []
 
     def fail_second(*args, **kwargs):
-        calls.append(kwargs["x0"])
+        calls.append(args)
         if len(calls) == 2:
             raise ConvergenceError("no convergence after 100 iterations")
         return solve(*args, **kwargs)
