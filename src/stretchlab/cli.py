@@ -155,7 +155,8 @@ def stretch_curve(model, n, distances, slide=False, solve_config=None):
 
     Returns ``(rows, skipped)``: rows are (d, force) for the distances
     that converged, the force the x-reaction on the right face, positive
-    in tension; skipped are (d, ConvergenceError) for those that did not.
+    in tension; skipped are (d, error) for those that did not, the error a
+    ConvergenceError or the InvertedElementError that stopped the solve.
     """
     mesh = generate_mesh("cube", n, size=1.0)
     basis = ElementBasis(mesh)
@@ -176,7 +177,7 @@ def stretch_curve(model, n, distances, slide=False, solve_config=None):
         x0 = _initial_guess(mesh.tets, path, d)
         try:
             result = solve_quasistatic(mesh, model, bc, config=solve_config, x0=x0, basis=basis)
-        except ConvergenceError as err:
+        except (ConvergenceError, InvertedElementError) as err:
             skipped.append((d, err))
             continue
         path = [path[-1], (d, result.positions)]

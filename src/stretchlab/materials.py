@@ -144,8 +144,13 @@ class MaterialModel:
         )
 
     def energy(self, s):
-        """Energy at a triple (float) or at each triple of a (..., 3) stack."""
-        e = self._evaluate(s, 0)
+        """Energy at a triple (float) or at each triple of a (..., 3) stack.
+
+        The terms see each triple in ascending order, so the energy is
+        invariant under permutation of the stretches to the last bit, not
+        only up to summation-order roundoff.
+        """
+        e = self._evaluate(np.sort(s, axis=-1), 0)
         return e if isinstance(e, np.ndarray) else float(e)
 
     def gradient(self, s):

@@ -18,6 +18,7 @@ from stretchlab.fem import (
     solve_quasistatic,
 )
 from stretchlab.fem.assembly import free_dof_indices
+from stretchlab.fem.mesh import TetMesh
 from stretchlab.materials import make_material, sample_params
 from stretchlab.specs import build_material
 
@@ -190,10 +191,10 @@ def dense_frequencies(mesh, material, bc, k):
     return np.sqrt(w) / (2.0 * np.pi)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind, n", [("beam", 1), ("beam", 2), ("cube", 2)])
 @pytest.mark.parametrize("spec", sorted(MODES_SPECS))
-def test_modal_frequencies_match_dense_oracle(n, spec):
-    mesh = generate_mesh("beam", n)
+def test_modal_frequencies_match_dense_oracle(kind, n, spec):
+    mesh = generate_mesh(kind, n)
     model = build_material(MODES_SPECS[spec])
     bc = clamp_left_face(mesh)
     got = modal_frequencies(mesh, model, bc, 6)
@@ -207,6 +208,20 @@ def test_modal_frequencies_repeat_bit_identical():
     bc = clamp_left_face(mesh)
     first = modal_frequencies(mesh, model, bc, 6)
     assert np.array_equal(modal_frequencies(mesh, model, bc, 6), first)
+
+
+def test_modal_frequencies_independent_of_vertex_labels():
+    # a relabelled mesh reaches the band solve in another order before the
+    # reverse Cuthill-McKee ordering, which must not move the frequencies
+    mesh = generate_mesh("beam", 2)
+    model = build_material(MODES_SPECS["snh"])
+    want = modal_frequencies(mesh, model, clamp_left_face(mesh), 6)
+    new_label = np.random.default_rng(0).permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_label] = mesh.vertices
+    relabelled = TetMesh(vertices, new_label[mesh.tets], mesh.density)
+    got = modal_frequencies(relabelled, model, clamp_left_face(relabelled), 6)
+    assert np.max(np.abs(got - want) / want) < 1e-12
 
 
 def test_indefinite_rest_stiffness_raises():
@@ -223,6 +238,15 @@ def test_single_vertex_clamp_raises(n):
     mesh = generate_mesh("beam", n)
     with pytest.raises(RestInstabilityError, match="rigid motions"):
         modal_frequencies(mesh, make_material(*SNH), clamp_left_face(mesh, 1), 6)
+
+
+def test_single_vertex_clamp_names_a_free_vertex():
+    mesh = generate_mesh("beam", 2)
+    bc = clamp_left_face(mesh, 1)
+    with pytest.raises(RestInstabilityError, match=r"vertex \d+, axis [xyz]") as err:
+        modal_frequencies(mesh, make_material(*SNH), bc, 6)
+    vertex = int(str(err.value).split("vertex ")[1].split(",")[0])
+    assert 0 <= vertex < mesh.num_vertices and vertex not in bc.vertices
 
 
 def test_mode_count_out_of_range_raises():
