@@ -23,15 +23,20 @@ the band. ARPACK works on P A P^T throughout: the permutation leaves the
 eigenvalues unchanged, and the start vector of ones is the same in every
 order.
 
-The rest stiffness on the free coordinates must be positive definite,
-and the factorization is the check: A is positive definite exactly when
-the Cholesky factor exists with every squared pivot u_ii^2 positive.
-``dpbtrf`` stops at the first leading minor that is not; a squared pivot
-at or below the LAPACK rank tolerance n * eps * max diag(A) also counts
-as a failure, since rigid motions left free by the clamp give pivots of
-roundoff size. An indefinite material at rest or such a clamp raises
-RestInstabilityError, which names the vertex and axis of the first
-failing pivot.
+The rest stiffness on the free coordinates must be positive definite.
+``dpbtrf`` is the first check: it stops at the first leading minor that
+is not positive definite, which an indefinite material at rest reaches.
+A rigid motion left free by the clamp makes A singular, and its zero
+pivot is zero only in exact arithmetic. In floating point it is
+roundoff of either sign, and a positive one can stand well above the
+LAPACK rank tolerance n * eps * max diag(A): the beam at n=2 clamped at
+two vertices, free to rotate about the line through them, factors with a
+smallest squared pivot of 2.9e-8 against a tolerance of 8.1e-9. So the
+lowest eigenvalue must clear that tolerance as well; it is the bound the
+tolerance is defined for, and it holds every case a pivot test catches,
+since no squared pivot is smaller than the lowest eigenvalue. Either
+failure raises RestInstabilityError, which names the vertex and axis of
+the pivot ``dpbtrf`` rejected, or else of the smallest pivot.
 
 scipy is imported inside ``modal_frequencies``: a module-level import
 would load scipy.sparse, about 30 MB of resident memory and its import
@@ -84,16 +89,16 @@ def modal_frequencies(mesh, material, bc, k, basis=None):
     band[b + upper.row - upper.col, upper.col] = upper.data
     tol = n * np.finfo(float).eps * band[b].max()
     factor, info = dpbtrf(band)
-    bad = np.nonzero(factor[b] ** 2 <= tol)[0]
-    if info > 0 or len(bad):
-        dof = free[perm[info - 1 if info > 0 else bad[0]]]
-        raise RestInstabilityError(
-            "rest stiffness on the free coordinates is not positive definite: "
-            "the material is indefinite at rest or the clamp leaves rigid motions free "
-            f"(first failing pivot at vertex {dof // 3}, axis {'xyz'[dof % 3]})"
-        )
-    solve = LinearOperator(A.shape, matvec=lambda x: dpbtrs(factor, x)[0], dtype=float)
-    w = eigsh(
-        A, k, sigma=0.0, which="LM", OPinv=solve, v0=np.ones(n), return_eigenvectors=False
+    if info == 0:
+        solve = LinearOperator(A.shape, matvec=lambda x: dpbtrs(factor, x)[0], dtype=float)
+        w = np.sort(eigsh(
+            A, k, sigma=0.0, which="LM", OPinv=solve, v0=np.ones(n), return_eigenvectors=False
+        ))
+        if w[0] > tol:
+            return np.sqrt(w) / (2.0 * np.pi)
+    dof = free[perm[info - 1 if info > 0 else np.argmin(factor[b])]]
+    raise RestInstabilityError(
+        "rest stiffness on the free coordinates is not positive definite: "
+        "the material is indefinite at rest or the clamp leaves rigid motions free "
+        f"(failing pivot at vertex {dof // 3}, axis {'xyz'[dof % 3]})"
     )
-    return np.sqrt(np.sort(w)) / (2.0 * np.pi)
