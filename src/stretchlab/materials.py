@@ -21,6 +21,7 @@ flagged ``rest_stable=False``; their rest-Hessian Lame extraction is still
 well defined.
 """
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -74,7 +75,8 @@ class MaterialModel:
     modulus_scale : float
         Characteristic stress magnitude, used to scale tolerances.
     rest_stable : bool
-        True when the gradient vanishes at (1, 1, 1).
+        True when the gradient vanishes at (1, 1, 1). Computed on first
+        read and then kept, so building a model evaluates nothing.
     """
 
     def __init__(self, family, params, domain, terms, modulus_scale, lame=None):
@@ -88,10 +90,11 @@ class MaterialModel:
         for coef, alpha, term in self.terms:
             groups.setdefault(float(alpha), []).append((float(coef), term))
         self._groups = list(groups.items())
+
+    @functools.cached_property
+    def rest_stable(self):
         g0 = self.gradient(_REST)
-        self.rest_stable = bool(
-            np.max(np.abs(g0)) <= REST_STABILITY_RTOL * max(1.0, self.modulus_scale)
-        )
+        return bool(np.max(np.abs(g0)) <= REST_STABILITY_RTOL * max(1.0, self.modulus_scale))
 
     def _evaluate(self, s, order):
         s = np.asarray(s, dtype=float)

@@ -427,7 +427,7 @@ def test_stretch_test_rejects_zero_steps(capsys, tmp_path):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("seed", [*range(20), 97, 176, 180])
+@pytest.mark.parametrize("seed", [*range(20), 97, 176, 180, 497])
 def test_verify_table_seeds_pass(seed):
     ok, report = verify_table(seed=seed)
     assert ok, {f: e for f, e in report.items() if not e["pass"]}

@@ -10,6 +10,8 @@ from stretchlab.errors import (
     RestInstabilityError,
     UnreachableTargetError,
 )
+from stretchlab.fd import fd_hessian
+from stretchlab.filtering import filter_nonlinearity
 from stretchlab.lame import (
     IsotropicModuli,
     LameParams,
@@ -21,6 +23,7 @@ from stretchlab.lame import (
     rest_hessian,
 )
 from stretchlab.materials import catalog_families, make_material, sample_params
+from stretchlab.specs import build_material
 
 TWO_PARAM = (
     "linear_corotational",
@@ -80,6 +83,53 @@ def test_rest_hessian_analytic_matches_fd():
     Ha = rest_hessian(m, method="analytic")
     Hf = rest_hessian(m, method="fd")
     assert np.max(np.abs(Ha - Hf)) < 1e-5 * m.modulus_scale
+
+
+def two_call_rest_hessian(model, h=1e-3):
+    """Oracle: the Richardson level from two separate fd_hessian calls."""
+    coarse = fd_hessian(model.energy, np.ones(3), h)
+    fine = fd_hessian(model.energy, np.ones(3), h / 2.0)
+    return (4.0 * fine - coarse) / 3.0
+
+
+REST_HESSIAN_CASES = [
+    f"{family}:{region}" for family in catalog_families() for region in ("generic", "stable")
+] + ["filtered", "combine"]
+
+
+def _rest_hessian_case(case):
+    if case == "filtered":
+        base = make_material("stable_neo_hookean", {"mu": 1.3, "lam": 2.1})
+        return filter_nonlinearity(base, 2.0)
+    if case == "combine":
+        mu_part = {"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}}
+        return build_material(
+            {"combine": {"mu_part": mu_part, "lambda_part": "j_minus_1_sq", "E": 2.5e5, "nu": 0.3}}
+        )
+    family, region = case.split(":")
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    return make_material(family, sample_params(family, rng, rest_stable=region == "stable"))
+
+
+@pytest.mark.parametrize("case", REST_HESSIAN_CASES)
+def test_fd_rest_hessian_matches_two_call_richardson(case):
+    m = _rest_hessian_case(case)
+    ref = two_call_rest_hessian(m)
+    assert np.max(np.abs(rest_hessian(m, method="fd") - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_fd_rest_hessian_is_one_energy_call():
+    m = make_material("ogden", {"terms": [[1.0, 2.0], [-0.5, -2.0]]})
+    shapes = []
+    energy = m.energy
+
+    def counting(s):
+        shapes.append(np.shape(s))
+        return energy(s)
+
+    m.energy = counting
+    rest_hessian(m, method="fd")
+    assert shapes == [(38, 3)]
 
 
 def test_rest_stress_guard():

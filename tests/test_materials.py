@@ -9,7 +9,10 @@ import pytest
 
 from stretchlab.errors import DomainViolationError, InvalidParameterError
 from stretchlab.fd import fd_gradient, fd_hessian
+from stretchlab.lame import extract_lame
 from stretchlab.materials import (
+    REST_STABILITY_RTOL,
+    MaterialModel,
     catalog_families,
     list_catalog,
     make_material,
@@ -167,15 +170,66 @@ def test_parameter_validation():
 def test_mooney_rivlin_rest_stress_flag():
     # generic draws carry rest stress; c2 = -c1/2 cancels it
     free = make_material("mooney_rivlin", {"c1": 1.0, "c2": 0.3})
-    assert not free.rest_stable
+    assert not free.rest_stable and not eager_rest_stable(free)
     tied = make_material("mooney_rivlin", {"c1": 1.0, "c2": -0.5})
-    assert tied.rest_stable
+    assert tied.rest_stable and eager_rest_stable(tied)
     assert np.max(np.abs(tied.gradient(np.ones(3)))) < 1e-12
 
 
 def test_ogden_rest_stress_flag():
     single = make_material("ogden", {"terms": [[1.0, 2.0]]})
-    assert not single.rest_stable
+    assert not single.rest_stable and not eager_rest_stable(single)
     balanced = make_material("ogden", {"terms": [[1.0, 2.0], [-1.0, -2.0]]})
-    assert balanced.rest_stable
+    assert balanced.rest_stable and eager_rest_stable(balanced)
     assert np.max(np.abs(balanced.gradient(np.ones(3)))) < 1e-12
+
+
+# rest_stable is computed on demand
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The derivative orders (0 energy, 1 gradient, 2 Hessian) evaluated, in call order."""
+    orders = []
+    evaluate = MaterialModel._evaluate
+
+    def counting(self, s, order):
+        orders.append(order)
+        return evaluate(self, s, order)
+
+    monkeypatch.setattr(MaterialModel, "_evaluate", counting)
+    return orders
+
+
+def eager_rest_stable(model):
+    """Oracle: the rule that used to run when every model was built."""
+    g0 = model.gradient(np.ones(3))
+    return bool(np.max(np.abs(g0)) <= REST_STABILITY_RTOL * max(1.0, model.modulus_scale))
+
+
+@pytest.mark.parametrize("family", catalog_families())
+def test_make_material_evaluates_nothing(family, evaluations):
+    rng = np.random.default_rng(zlib.crc32(family.encode()) + 7)
+    for rest_stable in (False, True):
+        make_material(family, sample_params(family, rng, rest_stable=rest_stable))
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("family", catalog_families())
+def test_rest_stable_matches_the_eager_rule(family):
+    rng = np.random.default_rng(zlib.crc32(family.encode()) + 8)
+    for rest_stable in (False, True):
+        for _ in range(5):
+            model = make_material(family, sample_params(family, rng, rest_stable=rest_stable))
+            assert model.rest_stable == eager_rest_stable(model)
+
+
+def test_rest_stable_is_evaluated_once(evaluations):
+    model = make_material("ogden", {"terms": [[1.0, 2.0]]})
+    assert [model.rest_stable, model.rest_stable] == [False, False]
+    assert evaluations == [1]
+
+
+def test_fd_extraction_allowing_rest_stress_evaluates_no_gradient(evaluations):
+    model = make_material("ogden", {"terms": [[1.0, 2.0]]})
+    extract_lame(model, method="fd", allow_rest_stress=True)
+    assert evaluations == [0]
