@@ -1,14 +1,7 @@
 """Desk-scale tetrahedral FEM for material experiments."""
 
 from .mesh import BoundaryCondition, TetMesh, generate_mesh, read_mesh, write_mesh
-from .assembly import (
-    BlockSparseMatrix,
-    ElementBasis,
-    SystemMatrices,
-    assemble,
-    element_pk1,
-    element_stress_jacobian,
-)
+from .assembly import BlockSparseMatrix, ElementBasis, SystemMatrices, assemble
 from .solver import QuasiStaticResult, SolveConfig, reaction_force, solve_quasistatic
 from .modal import modal_frequencies
 
@@ -22,8 +15,6 @@ __all__ = [
     "ElementBasis",
     "SystemMatrices",
     "assemble",
-    "element_pk1",
-    "element_stress_jacobian",
     "SolveConfig",
     "QuasiStaticResult",
     "solve_quasistatic",

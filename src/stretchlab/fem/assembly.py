@@ -52,8 +52,6 @@ from ..stretch_core import RotationVariantSVD, assemble_pk1, decompose
 __all__ = [
     "BlockSparseMatrix",
     "SystemMatrices",
-    "element_pk1",
-    "element_stress_jacobian",
     "stress_jacobian_from_svd",
     "assemble",
     "total_energy",
@@ -179,17 +177,6 @@ class ElementBasis:
         )
 
 
-def element_pk1(material, F):
-    """PK1 stress of a material at a deformation gradient.
-
-    Decomposes F, evaluates the principal stresses from the stretch
-    gradient, and rotates them back.
-    """
-    svd = decompose(F)
-    p = material.gradient(svd.sigma)
-    return assemble_pk1(svd, p)
-
-
 def stress_jacobian_from_svd(svd, grad, hess, project=False):
     """dP/dF (row-major vec) from an SVD and stretch derivatives.
 
@@ -234,14 +221,6 @@ def stress_jacobian_from_svd(svd, grad, hess, project=False):
     if project:
         eig = np.maximum(eig, 0.0)
     return M + (np.swapaxes(modes, -1, -2) * eig[..., None, :]) @ modes
-
-
-def element_stress_jacobian(material, F, project=False):
-    """dP/dF as a 9x9 matrix acting on row-major vec(dF)."""
-    svd = decompose(F)
-    g = material.gradient(svd.sigma)
-    H = material.hessian(svd.sigma)
-    return stress_jacobian_from_svd(svd, g, H, project=project)
 
 
 def total_energy(mesh, material, positions, basis=None):

@@ -25,7 +25,10 @@ from .materials import make_material, normalize
 __all__ = [
     "LameParams",
     "IsotropicModuli",
+    "FD_REST_POINTS",
+    "FD_REST_WEIGHTS",
     "extract_lame",
+    "lame_from_hessian",
     "lame_to_moduli",
     "moduli_to_lame",
     "normalize",
@@ -36,12 +39,15 @@ _REST = np.ones(3)
 
 
 def _richardson_stencil(coarse, fine):
-    """Points (38, 3) and weights (3, 3, 38) of (4 H(fine) - H(coarse)) / 3 at rest."""
+    """Points (38, 3) and weights (3, 3, 38) of (4 H(fine) - H(coarse)) / 3 at rest, read-only."""
     (pc, wc), (pf, wf) = hessian_stencil(_REST, coarse), hessian_stencil(_REST, fine)
-    return np.concatenate([pc, pf]), np.concatenate([-wc, 4.0 * wf], axis=-1) / 3.0
+    points, weights = np.concatenate([pc, pf]), np.concatenate([-wc, 4.0 * wf], axis=-1) / 3.0
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
 
 
-_POINTS, _WEIGHTS = _richardson_stencil(1e-3, 5e-4)
+# ``FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)`` is the fd rest Hessian
+FD_REST_POINTS, FD_REST_WEIGHTS = _richardson_stencil(1e-3, 5e-4)
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,16 @@ def rest_hessian(model, method="analytic"):
 
     ``method="fd"`` returns one Richardson level over central differences,
     (4 H(h/2) - H(h)) / 3 with h = 1e-3, as one energy call on the 38
-    points of both levels and one product with their weights, built at
-    import. The O(h^2) truncation cancels; the steps are large because
-    roundoff grows as eps / h^2 (at 2e-4 and 1e-4 a near-cancelling Ogden
-    draw lost 1.25e-5 of its Lame pair).
+    points of both levels, ``FD_REST_POINTS``, and one product with their
+    weights, ``FD_REST_WEIGHTS``, both built at import. The O(h^2)
+    truncation cancels; the steps are large because roundoff grows as
+    eps / h^2 (at 2e-4 and 1e-4 a near-cancelling Ogden draw lost 1.25e-5
+    of its Lame pair).
     """
     if method == "analytic":
         return model.hessian(_REST)
     if method == "fd":
-        return _WEIGHTS @ model.energy(_POINTS)
+        return FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)
     raise InvalidParameterError(f"unknown extraction method '{method}'")
 
 
@@ -110,10 +117,18 @@ def extract_lame(model, method="analytic", allow_rest_stress=False):
         closed = model.lame_closed_form()
         if closed is not None:
             return LameParams(float(closed[0]), float(closed[1]))
-    H = rest_hessian(model, method=method)
-    lam = float((H[0, 1] + H[0, 2] + H[1, 2]) / 3.0)
-    diag = float(np.trace(H) / 3.0)
-    return LameParams(lam, 0.5 * (diag - lam))
+    return lame_from_hessian(rest_hessian(model, method=method))
+
+
+def lame_from_hessian(H):
+    """(lambda_lame, mu_lame) of a rest stretch-Hessian H (3, 3).
+
+    lambda_lame is the mean off-diagonal entry and mu_lame half the gap
+    between the mean diagonal entry and it.
+    """
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = H.tolist()
+    lam = (h01 + h02 + h12) / 3.0
+    return LameParams(lam, 0.5 * ((h00 + h11 + h22) / 3.0 - lam))
 
 
 def lame_to_moduli(lame):

@@ -260,7 +260,7 @@ def _ogden(p):
 
 def _well_terms(p, *kinds):
     """One unit-coefficient term per (parameter, kind) over well profiles."""
-    return [(1.0, 1.0, kind(get_profile(p[key]).check_well())) for key, kind in kinds]
+    return [(1.0, 1.0, kind(p[key].check_well())) for key, kind in kinds]
 
 
 def _lam_mu(p):
@@ -401,7 +401,7 @@ _FAMILIES = {
     ),
     "hill": _Family(
         dict(_MU_LAM, f="profile name (Hill contract)"),
-        lambda p: _hill(p, get_profile(p["f"]).check_hill()),
+        lambda p: _hill(p, p["f"].check_hill()),
         **_held("f", _draw_hill_profile, "log"),
     ),
     "neo_hookean": _Family(_MU_LAM, lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ)),
@@ -563,9 +563,14 @@ def make_material(family, params=None):
         for key in row.positive:
             if float(params[key]) <= 0.0:
                 raise InvalidParameterError(f"{key} must be positive")
-        terms = row.terms(params)
-        scale = row.modulus_scale(params)
-        lame = row.lame(params)
+        # each profile name is parsed once; the model keeps the names
+        resolved = dict(params)
+        for key, unit in row.schema.items():
+            if unit.startswith("profile name"):
+                resolved[key] = get_profile(params[key])
+        terms = row.terms(resolved)
+        scale = row.modulus_scale(resolved)
+        lame = row.lame(resolved)
     except InvalidParameterError as err:
         raise InvalidParameterError(f"{family}: {err}") from None
     except (TypeError, ValueError) as err:

@@ -9,14 +9,13 @@ from stretchlab.errors import InvertedElementError
 from stretchlab.fem import assemble, generate_mesh
 from stretchlab.fem.assembly import (
     ElementBasis,
-    element_pk1,
-    element_stress_jacobian,
     lumped_mass,
+    stress_jacobian_from_svd,
     total_energy,
 )
 from stretchlab.lame import extract_lame
 from stretchlab.materials import make_material
-from stretchlab.stretch_core import decompose
+from stretchlab.stretch_core import assemble_pk1, decompose
 
 MATERIALS = (
     ("stable_neo_hookean", {"mu": 1.0e5, "lam": 4.0e5}),
@@ -24,6 +23,19 @@ MATERIALS = (
     ("hencky", {"mu": 1.0e5, "lam": 2.0e5}),
     ("arap", {}),
 )
+
+
+def element_pk1(material, F):
+    """Oracle: the PK1 stress of one F, from its own decomposition."""
+    svd = decompose(F)
+    return assemble_pk1(svd, material.gradient(svd.sigma))
+
+
+def element_stress_jacobian(material, F, project=False):
+    """Oracle: dP/dF of one F as a 9x9 matrix acting on row-major vec(dF)."""
+    svd = decompose(F)
+    g, H = material.gradient(svd.sigma), material.hessian(svd.sigma)
+    return stress_jacobian_from_svd(svd, g, H, project=project)
 
 
 def fd_stress_jacobian(model, F, h=1e-6):
@@ -73,6 +85,33 @@ def test_stress_jacobian_matches_fd(family, params):
     rng = np.random.default_rng(zlib.crc32(family.encode()) + 1)
     for _ in range(10):
         F = random_F(rng)
+        A = element_stress_jacobian(model, F)
+        B = fd_stress_jacobian(model, F)
+        assert np.max(np.abs(A - B)) < 1e-4 * model.modulus_scale
+
+
+def random_rotation(rng):
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    return Q if np.linalg.det(Q) > 0.0 else -Q
+
+
+# gaps on both sides of the flip-mode switch, _EQUAL_STRETCH_RTOL = 1e-6
+NEAR_EQUAL_GAPS = (1e-9, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3)
+
+
+@pytest.mark.parametrize("gap", NEAR_EQUAL_GAPS)
+@pytest.mark.parametrize(
+    "family,params", MATERIALS + (("ogden", {"terms": [[1.0, 3.0], [2.0, -2.0]]}),)
+)
+def test_stress_jacobian_matches_fd_at_near_equal_stretches(family, params, gap):
+    # F = R1 diag(s) R2^T with two stretches `gap` apart, rotated on both sides
+    model = make_material(family, params)
+    rng = np.random.default_rng(zlib.crc32(f"{family}:{gap!r}".encode()))
+    for _ in range(4):
+        s = rng.uniform(0.7, 1.4)
+        stretches = rng.permutation([s, s + gap, rng.uniform(0.7, 1.4)])
+        F = random_rotation(rng) @ np.diag(stretches) @ random_rotation(rng).T
         A = element_stress_jacobian(model, F)
         B = fd_stress_jacobian(model, F)
         assert np.max(np.abs(A - B)) < 1e-4 * model.modulus_scale

@@ -14,10 +14,11 @@ import pytest
 
 import stretchlab
 import stretchlab.cli
-from stretchlab.cli import _initial_guess, main, stretch_curve, verify_table
+from stretchlab.cli import _initial_guess, build_parser, main, stretch_curve, verify_table
 from stretchlab.errors import ConvergenceError, InvertedElementError
 from stretchlab.fem import ElementBasis, generate_mesh
-from stretchlab.materials import make_material
+from stretchlab.lame import extract_lame
+from stretchlab.materials import MaterialModel, catalog_families, make_material, sample_params
 
 
 def run(capsys, *argv):
@@ -57,6 +58,22 @@ def test_lame_fd_flag(capsys):
     data = json.loads(out)
     assert data["mu_lame"] == pytest.approx(2.0, rel=1e-6)
     assert data["method_agreement"] < 1e-6
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    lame = ["lame", "--family", "hencky", "--params", '{"mu": 2.0, "lam": 1.0}']
+    code, analytic, _ = run(capsys, *lame)
+    assert code == 0
+    code, fd, _ = run(capsys, *lame, "--fd")
+    assert code == 0 and fd != analytic
+    assert run(capsys, *lame) == (0, analytic, "")
+    # an argparse error leaves the one parser as it was
+    with pytest.raises(SystemExit) as err:
+        main(["lame", "--fd", "--bogus"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *lame) == (0, analytic, "")
+    assert build_parser() is build_parser()
 
 
 def test_lame_with_spec_file_and_alpha(capsys, tmp_path):
@@ -431,6 +448,68 @@ def test_stretch_test_rejects_zero_steps(capsys, tmp_path):
 def test_verify_table_seeds_pass(seed):
     ok, report = verify_table(seed=seed)
     assert ok, {f: e for f, e in report.items() if not e["pass"]}
+
+
+def two_call_verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
+    """Oracle: verify_table with one fd extraction and one symmetry call per draw."""
+    permutations = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    rng = np.random.default_rng(seed)
+    report = {}
+    ok = True
+    for family in catalog_families():
+        closure_err = 0.0
+        stable = True
+        sym_err = 0.0
+        for _ in range(draws):
+            model = make_material(family, sample_params(family, rng))
+            closed = model.lame_closed_form()
+            fd = extract_lame(model, method="fd", allow_rest_stress=True)
+            scale = max(abs(closed[0]), abs(closed[1]), 1e-30)
+            closure_err = max(
+                closure_err,
+                max(abs(fd.lambda_lame - closed[0]), abs(fd.mu_lame - closed[1])) / scale,
+            )
+            s = rng.uniform(0.5, 2.0, size=(triples // draws + 1, 3))
+            e = model.energy(s[:, permutations])
+            ref = np.maximum(np.abs(e[:, :1]), 1e-30 * max(1.0, model.modulus_scale))
+            sym_err = max(sym_err, float(np.max(np.abs(e[:, 1:] - e[:, :1]) / ref)))
+            stable_model = make_material(family, sample_params(family, rng, rest_stable=True))
+            stable = stable and stable_model.rest_stable
+        entry = {
+            "lame_closure_max_rel_err": closure_err,
+            "lame_closure_pass": bool(closure_err <= lame_rtol),
+            "rest_stable_in_stable_region": bool(stable),
+            "permutation_symmetry_max_rel_err": sym_err,
+            "permutation_symmetry_pass": bool(sym_err <= 1e-12),
+        }
+        entry["pass"] = bool(
+            entry["lame_closure_pass"]
+            and entry["rest_stable_in_stable_region"]
+            and entry["permutation_symmetry_pass"]
+        )
+        ok = ok and entry["pass"]
+        report[family] = entry
+    return ok, report
+
+
+@pytest.mark.parametrize("seed", [0, 97, 176, 180, 497, 812])
+def test_verify_table_matches_two_call_oracle(seed):
+    assert verify_table(seed=seed) == two_call_verify_table(seed=seed)
+
+
+def test_verify_table_evaluates_once_per_draw(monkeypatch):
+    # 19 families x 10 draws: one energy call for the fd pair and the
+    # symmetry check, one gradient call for the rest-stable draw
+    orders = []
+    evaluate = MaterialModel._evaluate
+
+    def counting(self, s, order):
+        orders.append(order)
+        return evaluate(self, s, order)
+
+    monkeypatch.setattr(MaterialModel, "_evaluate", counting)
+    verify_table(seed=5)
+    assert sorted(orders) == [0] * 190 + [1] * 190
 
 
 def test_verify_table_seed_176_mooney_rivlin_symmetry():

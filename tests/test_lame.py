@@ -13,9 +13,12 @@ from stretchlab.errors import (
 from stretchlab.fd import fd_hessian
 from stretchlab.filtering import filter_nonlinearity
 from stretchlab.lame import (
+    FD_REST_POINTS,
+    FD_REST_WEIGHTS,
     IsotropicModuli,
     LameParams,
     extract_lame,
+    lame_from_hessian,
     lame_to_moduli,
     moduli_to_lame,
     normalize,
@@ -130,6 +133,28 @@ def test_fd_rest_hessian_is_one_energy_call():
     m.energy = counting
     rest_hessian(m, method="fd")
     assert shapes == [(38, 3)]
+
+
+@pytest.mark.parametrize("case", REST_HESSIAN_CASES)
+def test_lame_from_hessian_is_the_fd_extraction(case):
+    m = _rest_hessian_case(case)
+    got = lame_from_hessian(rest_hessian(m, method="fd"))
+    assert isinstance(got.lambda_lame, float) and isinstance(got.mu_lame, float)
+    assert got == extract_lame(m, method="fd", allow_rest_stress=True)
+
+
+def test_lame_from_hessian_formula():
+    # lambda is the mean off-diagonal entry, mu half the gap to the mean diagonal
+    H = np.array([[5.0, 1.0, 2.0], [1.0, 7.0, 3.0], [2.0, 3.0, 9.0]])
+    assert lame_from_hessian(H) == LameParams(2.0, 0.5 * (7.0 - 2.0))
+
+
+def test_fd_rest_stencil_is_read_only():
+    assert FD_REST_POINTS.shape == (38, 3) and FD_REST_WEIGHTS.shape == (3, 3, 38)
+    for a in (FD_REST_POINTS, FD_REST_WEIGHTS):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_rest_stress_guard():

@@ -9,6 +9,7 @@ import pytest
 
 from stretchlab.errors import DomainViolationError, InvalidParameterError
 from stretchlab.fd import fd_gradient, fd_hessian
+import stretchlab.materials
 from stretchlab.lame import extract_lame
 from stretchlab.materials import (
     REST_STABILITY_RTOL,
@@ -165,6 +166,53 @@ def test_parameter_validation():
         make_material("no_such_family", {})
     with pytest.raises(InvalidParameterError):
         make_material("ogden", {"terms": [[1.0, 0.0]]})
+
+
+# the families whose parameters name profiles
+PROFILE_PARAMS = {"hill": ("f",), "valanis_landel_new": ("f", "h"), "valanis_landel_xu": "fgh"}
+
+
+@pytest.mark.parametrize("family", PROFILE_PARAMS)
+def test_make_material_parses_each_profile_name_once(family, monkeypatch):
+    rng = np.random.default_rng(zlib.crc32(family.encode()) + 9)
+    params = sample_params(family, rng)
+    given = dict(params)
+    names = []
+    get_profile = stretchlab.materials.get_profile
+
+    def counting(name):
+        names.append(name)
+        return get_profile(name)
+
+    monkeypatch.setattr(stretchlab.materials, "get_profile", counting)
+    model = make_material(family, params)
+    parsed = [name for name in names if isinstance(name, str)]
+    assert sorted(parsed) == sorted(params[key] for key in PROFILE_PARAMS[family])
+    # the model and the caller keep the names as given
+    assert model.params == given and params == given
+
+
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        ("hill", {"mu": 1.0, "lam": 1.0, "f": "no_such"}, "hill: unknown profile 'no_such'"),
+        ("hill", {"mu": 1.0, "lam": 1.0, "f": "log_sq"}, "hill: profile 'log_sq' violates"),
+        (
+            "valanis_landel_new",
+            {"f": 3.0, "h": "log_sq"},
+            "valanis_landel_new: profile handle must be a string",
+        ),
+        (
+            "valanis_landel_xu",
+            {"f": "stretch_well", "g": "power_well:x", "h": "log_sq"},
+            "valanis_landel_xu: malformed profile name 'power_well:x'",
+        ),
+    ],
+)
+def test_bad_profile_name_is_prefixed_with_the_family(family, params, message):
+    with pytest.raises(InvalidParameterError) as err:
+        make_material(family, params)
+    assert str(err.value).startswith(message)
 
 
 def test_mooney_rivlin_rest_stress_flag():
