@@ -121,7 +121,7 @@ def extract_lame(model, method="analytic", allow_rest_stress=False):
 
 
 def lame_from_hessian(H):
-    """(lambda_lame, mu_lame) of a rest stretch-Hessian H (3, 3).
+    """(lambda_lame, mu_lame) of a rest stretch-Hessian H, a (3, 3) numpy array.
 
     lambda_lame is the mean off-diagonal entry and mu_lame half the gap
     between the mean diagonal entry and it.

@@ -147,6 +147,13 @@ def test_lame_from_hessian_formula():
     # lambda is the mean off-diagonal entry, mu half the gap to the mean diagonal
     H = np.array([[5.0, 1.0, 2.0], [1.0, 7.0, 3.0], [2.0, 3.0, 9.0]])
     assert lame_from_hessian(H) == LameParams(2.0, 0.5 * (7.0 - 2.0))
+    # oracle: the numpy formula extract_lame used, equal to the last bit
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        H = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(3, 3))
+        H = H + H.T
+        lam = float((H[0, 1] + H[0, 2] + H[1, 2]) / 3.0)
+        assert lame_from_hessian(H) == LameParams(lam, 0.5 * (float(np.trace(H) / 3.0) - lam))
 
 
 def test_fd_rest_stencil_is_read_only():
