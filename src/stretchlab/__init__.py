@@ -39,13 +39,13 @@ from .lame import (
     normalize,
     pk1_linearize,
 )
-from .filtering import FilteredMaterial, filter_nonlinearity
+from .filtering import filter_nonlinearity
 from .compose import (
-    ComposedMaterial,
     EnergyPart,
     augment_volumetric,
     combine,
     decompose as decompose_energy,
+    unit_part,
     volumetric_part,
 )
 

@@ -12,15 +12,17 @@ independently, through the finite-difference path of
 ``lame.extract_lame(method="fd")``.
 
 Parts from different families recombine freely, optionally with an
-independent nonlinearity exponent on each part. Zero-lambda energies
-(ARAP, Ogden, ...) can be augmented with a Neo-Hookean volumetric part
-to obtain a nonzero Poisson's ratio.
+independent nonlinearity exponent on each part. A model whose other Lame
+entry vanishes (ARAP, Ogden, ... as mu-parts) becomes a unit part by one
+rule, :func:`unit_part`; :func:`augment_volumetric` uses it to give a
+zero-lambda energy a Neo-Hookean volumetric part, and so obtain a
+nonzero Poisson's ratio.
 
 Every material is a flat list of (coef, alpha, term) entries (see
-``materials``), so a :class:`LinearCombination` and a
-:class:`ComposedMaterial` are the concatenated lists of their operands
-with each coefficient scaled by the operand's weight; neither evaluates
-anything itself.
+``materials``), so :func:`LinearCombination` and :func:`combine` return
+plain ``MaterialModel`` values whose lists are the concatenated lists of
+their operands, each coefficient scaled by the operand's weight; neither
+evaluates anything itself.
 """
 
 from dataclasses import dataclass
@@ -28,17 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NonSeparableFamilyError, UnreachableTargetError
-from .filtering import FilteredMaterial
+from .filtering import filter_nonlinearity
 from .lame import extract_lame
 from .materials import MaterialModel, list_catalog, make_material
 
 __all__ = [
     "EnergyPart",
-    "ComposedMaterial",
     "LinearCombination",
     "decompose",
     "combine",
     "augment_volumetric",
+    "unit_part",
     "volumetric_part",
     "SEPARABLE_FAMILIES",
     "VOLUMETRIC_KINDS",
@@ -55,19 +57,17 @@ SEPARABLE_FAMILIES = tuple(
 VOLUMETRIC_KINDS = ("j_minus_1_sq", "log_j_sq")
 
 
-class LinearCombination(MaterialModel):
-    """Weighted sum of stretch-space energies: the concatenated term lists."""
-
-    def __init__(self, terms):
-        terms = [(float(c), m) for c, m in terms]
-        positive = any(m.domain == "positive" for _, m in terms)
-        super().__init__(
-            "combination",
-            {},
-            "positive" if positive else "unrestricted",
-            [(c * k, alpha, term) for c, m in terms for k, alpha, term in m.terms],
-            sum(abs(c) * m.modulus_scale for c, m in terms) or 1.0,
-        )
+def LinearCombination(terms):
+    """The ``combination`` material sum c * m over (c, MaterialModel) pairs."""
+    terms = [(float(c), m) for c, m in terms]
+    positive = any(m.domain == "positive" for _, m in terms)
+    return MaterialModel(
+        "combination",
+        {},
+        "positive" if positive else "unrestricted",
+        [(c * k, alpha, term) for c, m in terms for k, alpha, term in m.terms],
+        sum(abs(c) * m.modulus_scale for c, m in terms) or 1.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,7 @@ class EnergyPart:
         want = (1.0, 0.0) if self.kind == "lambda" else (0.0, 1.0)
         got = (lame.lambda_lame, lame.mu_lame)
         if max(abs(got[0] - want[0]), abs(got[1] - want[1])) > PART_LAME_RTOL * 1e2:
-            raise InvalidParameterError(
-                f"{self.kind}-part extraction {got} deviates from {want}"
-            )
+            raise InvalidParameterError(f"{self.kind}-part extraction {got} deviates from {want}")
 
 
 def volumetric_part(kind="j_minus_1_sq"):
@@ -98,9 +96,7 @@ def volumetric_part(kind="j_minus_1_sq"):
     if kind not in VOLUMETRIC_KINDS:
         raise InvalidParameterError(f"volumetric kind must be one of {VOLUMETRIC_KINDS}")
     h = "j_minus_1_sq" if kind == "j_minus_1_sq" else "log_sq"
-    model = make_material(
-        "valanis_landel_new", {"f": "scaled:0:stretch_well", "h": h}
-    )
+    model = make_material("valanis_landel_new", {"f": "scaled:0:stretch_well", "h": h})
     return EnergyPart("lambda", model)
 
 
@@ -152,28 +148,6 @@ def decompose(family, params):
     return lam_part, mu_part
 
 
-class ComposedMaterial(LinearCombination):
-    """target.lambda * psi_lambda filtered at alpha_lambda
-    + target.mu * psi_mu filtered at alpha_mu."""
-
-    def __init__(self, mu_part, lambda_part, lame, alpha_mu=1.0, alpha_lambda=1.0):
-        self.mu_part = mu_part
-        self.lambda_part = lambda_part
-        self.lame = lame
-        self.alpha_mu = float(alpha_mu)
-        self.alpha_lambda = float(alpha_lambda)
-        super().__init__(
-            [
-                (lame.lambda_lame, FilteredMaterial(lambda_part.model, alpha_lambda)),
-                (lame.mu_lame, FilteredMaterial(mu_part.model, alpha_mu)),
-            ]
-        )
-        self.family = "composed"
-
-    def lame_closed_form(self):
-        return (self.lame.lambda_lame, self.lame.mu_lame)
-
-
 def _as_part(part, kind):
     if isinstance(part, EnergyPart):
         if part.kind != kind:
@@ -183,7 +157,9 @@ def _as_part(part, kind):
 
 
 def combine(mu_part, lambda_part, target, alpha_mu=1.0, alpha_lambda=1.0):
-    """Build a material from a mu-part and a lambda-part.
+    """The ``composed`` material target.lambda * psi_lambda filtered at
+    alpha_lambda + target.mu * psi_mu filtered at alpha_mu, whose
+    closed-form Lame pair is the target.
 
     Parameters
     ----------
@@ -198,24 +174,35 @@ def combine(mu_part, lambda_part, target, alpha_mu=1.0, alpha_lambda=1.0):
         raise InvalidParameterError(f"target mu_lame must be positive, got {target.mu_lame}")
     mu_part = _as_part(mu_part, "mu")
     lambda_part = _as_part(lambda_part, "lambda")
-    return ComposedMaterial(mu_part, lambda_part, target, alpha_mu, alpha_lambda)
+    parts = LinearCombination(
+        [
+            (target.lambda_lame, filter_nonlinearity(lambda_part.model, alpha_lambda)),
+            (target.mu_lame, filter_nonlinearity(mu_part.model, alpha_mu)),
+        ]
+    )
+    lame = (target.lambda_lame, target.mu_lame)
+    return MaterialModel("composed", {}, parts.domain, parts.terms, parts.modulus_scale, lame)
+
+
+def unit_part(model, kind):
+    """The ``kind``-part ("mu" or "lambda") of a model: the model over its own Lame entry.
+
+    Raises UnreachableTargetError when the other entry exceeds
+    1e-6 * max(1, |own entry|), and InvalidParameterError when the own
+    entry is not positive.
+    """
+    lame = extract_lame(model, allow_rest_stress=True)
+    own, other = (lame.mu_lame, lame.lambda_lame)
+    if kind == "lambda":
+        own, other = other, own
+    if abs(other) > 1e-6 * max(1.0, abs(own)):
+        raise UnreachableTargetError(f"{model.family}: not a pure {kind}-part ({lame})")
+    if own <= 0.0:
+        raise InvalidParameterError(f"{model.family}: {kind}_lame must be positive, got {own}")
+    return EnergyPart(kind, LinearCombination([(1.0 / own, model)]))
 
 
 def augment_volumetric(base, target, vol_kind="j_minus_1_sq"):
-    """Give a zero-lambda energy a volumetric part.
-
-    ``base`` must have lambda_lame = 0 (ARAP, Ogden, Symmetric
-    Dirichlet, ...); it is rescaled to unit mu_lame and combined with the
-    requested Neo-Hookean lambda-part at the target Lame parameters.
-    """
-    lame = extract_lame(base, allow_rest_stress=True)
-    scale = max(1.0, abs(lame.mu_lame))
-    if abs(lame.lambda_lame) > 1e-6 * scale:
-        raise UnreachableTargetError(
-            f"base already has lambda_lame = {lame.lambda_lame}; "
-            "augmentation expects a zero-lambda energy"
-        )
-    if lame.mu_lame <= 0.0:
-        raise InvalidParameterError(f"base mu_lame must be positive, got {lame.mu_lame}")
-    mu_part = EnergyPart("mu", LinearCombination([(1.0 / lame.mu_lame, base)]))
-    return combine(mu_part, volumetric_part(vol_kind), target)
+    """Combine the unit mu-part of a zero-lambda energy (ARAP, Ogden, ...)
+    with a Neo-Hookean lambda-part at the target Lame parameters."""
+    return combine(unit_part(base, "mu"), volumetric_part(vol_kind), target)

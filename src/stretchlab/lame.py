@@ -107,7 +107,7 @@ def extract_lame(model, method="analytic", allow_rest_stress=False):
     RestInstabilityError
         If the model is not rest-stable and ``allow_rest_stress`` is off.
     """
-    if not allow_rest_stress and not getattr(model, "rest_stable", True):
+    if not allow_rest_stress and not model.rest_stable:
         g = model.gradient(_REST)
         raise RestInstabilityError(
             f"{model.family}: rest gradient {g} is nonzero; "

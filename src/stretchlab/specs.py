@@ -12,23 +12,22 @@ or a composition
                  "alpha_mu": ..., "alpha_lambda": ...}}
 
 Unknown keys are rejected. Part specs naming a separable family
-contribute their decomposed part; other families are accepted as a
-mu-part when their lambda_lame vanishes (they are rescaled to unit
-mu_lame).
+contribute their decomposed part; any other family is rescaled to a unit
+part by ``compose.unit_part``, which rejects a nonzero other Lame entry
+and an own entry <= 0. Every result is a plain ``MaterialModel``.
 """
 
 from .compose import (
     SEPARABLE_FAMILIES,
     VOLUMETRIC_KINDS,
-    EnergyPart,
-    LinearCombination,
     combine,
     decompose as decompose_energy,
+    unit_part,
     volumetric_part,
 )
 from .errors import InvalidParameterError
 from .filtering import filter_nonlinearity
-from .lame import IsotropicModuli, extract_lame, moduli_to_lame
+from .lame import IsotropicModuli, moduli_to_lame
 from .materials import make_material
 
 __all__ = ["build_material"]
@@ -53,7 +52,8 @@ def build_material(spec):
     """Construct a MaterialModel from a parsed JSON spec.
 
     Raises InvalidParameterError for any malformed spec: unknown or
-    missing keys, or a value of the wrong type.
+    missing keys, or a value of the wrong type. A part spec that fails
+    the unit-part rule raises as ``compose.unit_part`` does.
     """
     if not isinstance(spec, dict):
         raise InvalidParameterError(f"material spec must be an object, got {type(spec).__name__}")
@@ -105,13 +105,4 @@ def _part_from_spec(spec, kind):
     if family in SEPARABLE_FAMILIES:
         lam_part, mu_part = decompose_energy(family, params)
         return lam_part if kind == "lambda" else mu_part
-    model = make_material(family, params)
-    lame = extract_lame(model, allow_rest_stress=True)
-    value = lame.mu_lame if kind == "mu" else lame.lambda_lame
-    other = lame.lambda_lame if kind == "mu" else lame.mu_lame
-    scale = max(1.0, abs(value))
-    if abs(other) > 1e-6 * scale or value == 0.0:
-        raise InvalidParameterError(
-            f"'{family}' does not reduce to a pure {kind}-part (extraction {lame})"
-        )
-    return EnergyPart(kind, LinearCombination([(1.0 / value, model)]))
+    return unit_part(make_material(family, params), kind)

@@ -15,7 +15,7 @@ from stretchlab.fem.assembly import (
 )
 from stretchlab.lame import extract_lame
 from stretchlab.materials import make_material
-from stretchlab.stretch_core import assemble_pk1, decompose
+from stretchlab.stretch_core import RotationVariantSVD, assemble_pk1, decompose
 
 MATERIALS = (
     ("stable_neo_hookean", {"mu": 1.0e5, "lam": 4.0e5}),
@@ -115,6 +115,32 @@ def test_stress_jacobian_matches_fd_at_near_equal_stretches(family, params, gap)
         A = element_stress_jacobian(model, F)
         B = fd_stress_jacobian(model, F)
         assert np.max(np.abs(A - B)) < 1e-4 * model.modulus_scale
+
+
+# gaps on both sides of the flip-mode switch, from the l'Hopital branch to the quotient
+FLIP_GAPS = (1e-10, 1e-9, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 5e-3)
+
+
+@pytest.mark.parametrize("b", (0.8, 1.0, 1.3))
+def test_flip_eigenvalue_matches_exact_divided_difference(b):
+    # [DERIVED] oracle: the flip eigenvalue is (g_0 - g_1) / (s_0 - s_1), here
+    # evaluated at 50 digits from the Hencky gradient
+    # g_i = (2 mu log s_i + lam sum_j log s_j) / s_i
+    mpmath = pytest.importorskip("mpmath")
+    mu, lam = 1.0, 2.0
+    model = make_material("hencky", {"mu": mu, "lam": lam})
+    m = np.zeros(9)
+    m[[1, 3]] = 1.0 / np.sqrt(2.0)  # vec(e_0 e_1^T + e_1 e_0^T) / sqrt 2
+    for gap in FLIP_GAPS:
+        s = np.array([b + gap, b, 0.6])
+        svd = RotationVariantSVD(np.eye(3), np.eye(3), s)
+        got = m @ stress_jacobian_from_svd(svd, model.gradient(s), model.hessian(s)) @ m
+        with mpmath.workdps(50):
+            x = [mpmath.mpf(float(v)) for v in s]
+            logs = [mpmath.log(v) for v in x]
+            g = [(2 * mu * log + lam * sum(logs)) / v for log, v in zip(logs, x)]
+            want = float((g[0] - g[1]) / (x[0] - x[1]))
+        assert abs(got - want) <= 1e-9 * abs(want), gap
 
 
 def test_stress_jacobian_repeated_stretches():

@@ -434,6 +434,26 @@ def test_modes_rejects_truncated_mesh(capsys, tmp_path, rows, missing):
     assert str(mesh_path) in err and missing in err
 
 
+@pytest.mark.parametrize(
+    "mu_part,message",
+    (
+        # an own Lame entry <= 0: mu_lame = 1 * (-2 - 1) / 2 = -1.5
+        ({"family": "ogden", "params": {"terms": [[1.0, -2.0]]}}, "mu_lame must be positive"),
+        # a nonzero other entry: lambda_lame = -4/3 (2 c1 + 5 c2) = -4
+        ({"family": "mooney_rivlin", "params": {"c1": 1.0, "c2": 0.2}}, "not a pure mu-part"),
+    ),
+)
+def test_modes_rejects_parts_off_the_unit_part_rule(capsys, tmp_path, mu_part, message):
+    spec = tmp_path / "a.json"
+    spec.write_text(
+        json.dumps(
+            {"combine": {"mu_part": mu_part, "lambda_part": "j_minus_1_sq", "E": 1.0, "nu": 0.3}}
+        )
+    )
+    code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
+    assert code == 2 and out == "" and message in err
+
+
 def test_stretch_test_rejects_zero_steps(capsys, tmp_path):
     out_path = tmp_path / "x.csv"
     code, _, err = run(
@@ -527,6 +547,23 @@ def test_verify_table(capsys):
     for entry in data["families"].values():
         assert entry["lame_closure_pass"]
         assert entry["permutation_symmetry_pass"]
+
+
+def test_verify_table_fails_a_nan_energy(capsys, monkeypatch):
+    energy = MaterialModel.energy
+
+    def nan_for_hencky(self, s):
+        e = energy(self, s)
+        return e * np.nan if self.family == "hencky" else e
+
+    monkeypatch.setattr(MaterialModel, "energy", nan_for_hencky)
+    ok, report = verify_table(seed=3)
+    assert not ok and not report["hencky"]["pass"]
+    assert not report["hencky"]["lame_closure_pass"]
+    assert not report["hencky"]["permutation_symmetry_pass"]
+    assert all(entry["pass"] for family, entry in report.items() if family != "hencky")
+    code, out, _ = run(capsys, "verify-table", "--seed", "3")
+    assert code == 4 and not json.loads(out)["families"]["hencky"]["pass"]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -12,6 +12,7 @@ from stretchlab.compose import (
     augment_volumetric,
     combine,
     decompose,
+    unit_part,
     volumetric_part,
 )
 from stretchlab.errors import (
@@ -22,6 +23,11 @@ from stretchlab.errors import (
 from stretchlab.lame import LameParams, extract_lame
 from stretchlab.materials import make_material, sample_params
 from stretchlab.specs import build_material
+
+# a zero-lambda Ogden energy with mu_lame = 1 * (-2 - 1) / 2 = -1.5
+_NEGATIVE_OGDEN = {"terms": [[1.0, -2.0]]}
+# Mooney-Rivlin with lambda_lame = -4/3 (2 c1 + 5 c2) = -4, mu_lame = c1
+_MOONEY_RIVLIN = {"c1": 1.0, "c2": 0.2}
 
 
 def unit_extraction(part):
@@ -130,6 +136,35 @@ def test_augment_rejects_nonzero_lambda_base():
         augment_volumetric(base, LameParams(1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "family,params,kind,error",
+    [
+        ("ogden", _NEGATIVE_OGDEN, "mu", InvalidParameterError),
+        ("mooney_rivlin", _MOONEY_RIVLIN, "mu", UnreachableTargetError),
+        ("arap", {}, "lambda", UnreachableTargetError),
+    ],
+)
+def test_unit_part_rule(family, params, kind, error):
+    # unit_part, augmentation and the combine spec apply the one rule
+    with pytest.raises(error):
+        unit_part(make_material(family, params), kind)
+    if kind == "mu":
+        with pytest.raises(error):
+            augment_volumetric(make_material(family, params), LameParams(1.0, 1.0))
+    part = {"family": family, "params": params}
+    with pytest.raises(error):
+        build_material({"combine": dict(_COMBINE, **{f"{kind}_part": part})})
+
+
+def test_unit_part_rescales_to_unit_extraction():
+    base = make_material("symmetric_arap", {"mu": 2.5})
+    part = unit_part(base, "mu")
+    assert part.kind == "mu"
+    assert unit_extraction(part) == pytest.approx((0.0, 1.0), abs=1e-6)
+    s = np.array([1.3, 0.9, 0.7])
+    assert part.model.energy(s) == pytest.approx(base.energy(s) / 2.5, rel=1e-14)
+
+
 def test_energy_part_validates_extraction():
     with pytest.raises(InvalidParameterError):
         EnergyPart("mu", make_material("hencky", {"mu": 2.0, "lam": 0.0}))
@@ -173,6 +208,7 @@ _COMBINE = {"mu_part": {"family": "arap"}, "lambda_part": "j_minus_1_sq", "E": 1
         {"combine": dict(_COMBINE, alpha_mu=None)},
         {"combine": dict(_COMBINE, mu_part=3)},
         {"combine": 5},
+        {"combine": dict(_COMBINE, mu_part={"family": "ogden", "params": _NEGATIVE_OGDEN})},
     ],
 )
 def test_spec_builder_rejects_wrongly_typed_values(spec):
