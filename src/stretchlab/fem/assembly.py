@@ -48,6 +48,7 @@ import numpy as np
 
 from ..errors import DomainViolationError, InvertedElementError
 from ..stretch_core import RotationVariantSVD, assemble_pk1, decompose
+from .mesh import edge_matrices
 
 __all__ = [
     "BlockSparseMatrix",
@@ -105,11 +106,6 @@ class SystemMatrices:
     energy: float
 
 
-def _edge_matrices(x, tets):
-    """(m, 3, 3) matrices whose column c is x[tet[c + 1]] - x[tet[0]]."""
-    return np.swapaxes(x[tets[:, 1:]] - x[tets[:, :1]], 1, 2)
-
-
 class ElementBasis:
     """Precomputed rest-shape arrays for one mesh.
 
@@ -137,7 +133,7 @@ class ElementBasis:
         m = mesh.num_tets
         nv = mesh.num_vertices
         self.volumes = mesh.rest_volumes
-        self.Bm = np.linalg.inv(_edge_matrices(mesh.vertices, tets))
+        self.Bm = np.linalg.inv(edge_matrices(mesh.vertices, tets))
         # F_ab = sum_n x_{n,a} w_{n,b}: vertex 0 weighs minus the column sums of Bm
         w = np.concatenate([-self.Bm.sum(axis=1, keepdims=True), self.Bm], axis=1)
         self.G = np.einsum("enb,ac->eabnc", w, np.eye(3)).reshape(m, 9, 12)
@@ -158,7 +154,7 @@ class ElementBasis:
     def deformation_gradients(self, positions):
         """F = Ds Bm of every element, (m, 3, 3), at vertex positions (n, 3)."""
         positions = np.asarray(positions, dtype=float)
-        return _edge_matrices(positions, self.mesh.tets) @ self.Bm
+        return edge_matrices(positions, self.mesh.tets) @ self.Bm
 
     def element_svds(self, positions):
         """Rotation-variant SVDs of every element, stacked along a leading axis.

@@ -48,21 +48,12 @@ class TetMesh:
         n = len(self.vertices)
         if self.tets.size and (self.tets.min() < 0 or self.tets.max() >= n):
             raise ValueError("tet indices out of range")
-        self.rest_volumes = self._volumes()
+        self.rest_volumes = np.linalg.det(edge_matrices(self.vertices, self.tets)) / 6.0
         if np.any(self.rest_volumes <= 0.0):
             bad = int(np.argmin(self.rest_volumes))
             raise ValueError(f"non-positive rest volume in element {bad}")
         if not _connected(n, self.tets):
             raise ValueError("mesh is not connected")
-
-    def _volumes(self):
-        v = self.vertices
-        t = self.tets
-        d = np.stack(
-            [v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]], v[t[:, 3]] - v[t[:, 0]]],
-            axis=2,
-        )
-        return np.linalg.det(d) / 6.0
 
     @property
     def num_vertices(self):
@@ -110,6 +101,11 @@ class BoundaryCondition:
         for v, p, m in zip(self.vertices, self.positions, self.coords):
             positions[v][m] = p[m]
         return positions
+
+
+def edge_matrices(x, tets):
+    """(m, 3, 3) matrices whose column c is x[tet[c + 1]] - x[tet[0]]."""
+    return np.swapaxes(x[tets[:, 1:]] - x[tets[:, :1]], 1, 2)
 
 
 # the six Kuhn tetrahedra of a unit cell: each permutation of the axes is

@@ -88,9 +88,6 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
     x = np.array(mesh.vertices if x0 is None else x0, dtype=float)
     bc.apply(x)
 
-    def flat(pos):
-        return pos.reshape(-1)
-
     residuals = []
     energy = total_energy(mesh, material, x, basis=basis)
     for it in range(config.max_iters):
@@ -112,9 +109,8 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
             step = np.linalg.solve(Kff + reg * np.eye(len(free)), r)
 
         t = 1.0
-        accepted = False
         for _ in range(config.max_halvings):
-            x_new = flat(x).copy()
+            x_new = x.reshape(-1).copy()
             x_new[free] += t * step
             x_new = x_new.reshape(-1, 3)
             try:
@@ -124,10 +120,9 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
                 continue
             if e_new <= energy + 1e-12 * max(1.0, abs(energy)):
                 x, energy = x_new, e_new
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"line search failed at iteration {it} (residual {res:.3e}, tol {tol:.3e})",
                 residual_history=residuals,

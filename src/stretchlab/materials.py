@@ -93,12 +93,16 @@ class MaterialModel:
 
     @functools.cached_property
     def rest_stable(self):
-        g0 = self.gradient(_REST)
-        return bool(np.max(np.abs(g0)) <= REST_STABILITY_RTOL * max(1.0, self.modulus_scale))
+        tol = REST_STABILITY_RTOL * max(1.0, self.modulus_scale)
+        # max |g_i| <= tol, over Python floats; a NaN entry fails, as in np.max
+        return all(abs(g) <= tol for g in self.gradient(_REST).tolist())
 
     def _evaluate(self, s, order):
         s = np.asarray(s, dtype=float)
         self.check_domain(s)
+        if not self._groups:
+            # no entries: zeros of the terms' shape; [()] makes a 0-d array a scalar
+            return np.zeros(s.shape[:-1] + (3,) * order)[()]
         out = 0.0
         for alpha, terms in self._groups:
             if alpha == 1.0:
@@ -138,12 +142,9 @@ class MaterialModel:
             return
         i = int(np.argmax(bad))
         index = i if s.ndim > 1 else None
-        if not np.isfinite(rows[i]).all():
-            raise DomainViolationError(
-                f"{self.family} requires finite stretches, got {rows[i]}", index=index
-            )
+        what = "finite" if not np.isfinite(rows[i]).all() else "strictly positive"
         raise DomainViolationError(
-            f"{self.family} requires strictly positive stretches, got {rows[i]}", index=index
+            f"{self.family} requires {what} stretches, got {rows[i]}", index=index
         )
 
     def energy(self, s):
@@ -312,8 +313,13 @@ def _held(key, draw, default):
     }
 
 
+def _pick(rng, options):
+    """A uniform pick from a tuple: rng.choice's stream, at a quarter of its cost."""
+    return options[int(rng.integers(0, len(options)))]
+
+
 def _draw_exponent(rng):
-    return float(rng.choice([-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    return _pick(rng, (-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0))
 
 
 def _draw_hill_profile(rng):
@@ -335,7 +341,7 @@ def _ogden_draw(rng, mu, lam, rest_stable):
     n = int(rng.integers(1, 4))
     return {
         "terms": [
-            [float(rng.uniform(0.5, 3.0)), float(rng.choice([-2.0, 1.5, 2.0, 3.0, 4.0]))]
+            [float(rng.uniform(0.5, 3.0)), _pick(rng, (-2.0, 1.5, 2.0, 3.0, 4.0))]
             for _ in range(n)
         ]
     }
@@ -371,11 +377,18 @@ class _Family:
     sample: Callable = _mu_lam_draw  # (rng, mu, lam, rest_stable) -> random valid params
     inverse: Callable = _mu_lam_inverse  # (lambda_lame, mu_lame, baseline) -> params
 
+    @functools.cached_property  # a schema scan on the first make_material call only
+    def profile_keys(self):
+        return tuple(k for k, unit in self.schema.items() if unit.startswith("profile name"))
+
+    @functools.cached_property
+    def pa_keys(self):
+        return tuple(k for k, unit in self.schema.items() if unit == "Pa")
+
     def modulus_scale(self, p):
         if self.scale is not None:
             return self.scale(p)
-        moduli = [abs(float(p[k])) for k, unit in self.schema.items() if unit == "Pa"]
-        return max(moduli, default=1.0)
+        return max((abs(float(p[k])) for k in self.pa_keys), default=1.0)
 
 
 _MU_LAM = {"mu": "Pa", "lam": "Pa"}
@@ -520,9 +533,7 @@ _FAMILIES = {
 
 def _row(family):
     if not isinstance(family, str) or family not in _FAMILIES:
-        raise InvalidParameterError(
-            f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
-        )
+        raise InvalidParameterError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
     return _FAMILIES[family]
 
 
@@ -555,7 +566,7 @@ def make_material(family, params=None):
     """
     row = _row(family)
     params = _record(family, params, "parameters")
-    if set(params) != set(row.schema):
+    if params.keys() != row.schema.keys():
         raise InvalidParameterError(
             f"{family}: expected parameters {sorted(row.schema)}, got {sorted(params)}"
         )
@@ -565,9 +576,8 @@ def make_material(family, params=None):
                 raise InvalidParameterError(f"{key} must be positive")
         # each profile name is parsed once; the model keeps the names
         resolved = dict(params)
-        for key, unit in row.schema.items():
-            if unit.startswith("profile name"):
-                resolved[key] = get_profile(params[key])
+        for key in row.profile_keys:
+            resolved[key] = get_profile(params[key])
         terms = row.terms(resolved)
         scale = row.modulus_scale(resolved)
         lame = row.lame(resolved)

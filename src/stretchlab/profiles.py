@@ -22,7 +22,7 @@ f(1) = 0 and f'(1) = 0; all built-in well shapes have f''(1) = 1 so a
 ``scaled:`` wrapper directly sets the curvature at rest.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,8 @@ def _stretch_well_profile():
 def _power_well_profile(beta):
     if beta == 0.0:
         raise InvalidParameterError("power_well profile exponent must be nonzero")
-    return replace(half_square(_power_profile(beta)), name=f"power_well:{beta:g}")
+    well = half_square(_power_profile(beta))
+    return Profile(f"power_well:{beta:g}", well.value, well.d1, well.d2)
 
 
 def half_square(base):

@@ -83,13 +83,9 @@ def _build_combination(cspec):
     target = moduli_to_lame(IsotropicModuli(E, nu))
     mu_part = _part_from_spec(cspec["mu_part"], "mu")
     lambda_part = _part_from_spec(cspec["lambda_part"], "lambda")
-    return combine(
-        mu_part,
-        lambda_part,
-        target,
-        alpha_mu=_number(cspec.get("alpha_mu", 1.0), "combine spec: alpha_mu"),
-        alpha_lambda=_number(cspec.get("alpha_lambda", 1.0), "combine spec: alpha_lambda"),
-    )
+    keys = ("alpha_mu", "alpha_lambda")
+    alphas = {k: _number(cspec.get(k, 1.0), f"combine spec: {k}") for k in keys}
+    return combine(mu_part, lambda_part, target, **alphas)
 
 
 def _part_from_spec(spec, kind):

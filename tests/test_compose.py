@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+import stretchlab.compose
 from stretchlab.compose import (
     SEPARABLE_FAMILIES,
     EnergyPart,
@@ -16,12 +17,13 @@ from stretchlab.compose import (
     volumetric_part,
 )
 from stretchlab.errors import (
+    DomainViolationError,
     InvalidParameterError,
     NonSeparableFamilyError,
     UnreachableTargetError,
 )
 from stretchlab.lame import LameParams, extract_lame
-from stretchlab.materials import make_material, sample_params
+from stretchlab.materials import MaterialModel, make_material, sample_params
 from stretchlab.specs import build_material
 
 # a zero-lambda Ogden energy with mu_lame = 1 * (-2 - 1) / 2 = -1.5
@@ -235,3 +237,48 @@ def test_spec_builder_combination():
     scale = max(abs(want.lambda_lame), abs(want.mu_lame))
     assert abs(got.lambda_lame - want.lambda_lame) < 1e-6 * scale
     assert abs(got.mu_lame - want.mu_lame) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("got", [(np.nan, np.nan), (0.0, np.nan), (np.nan, 1.0)])
+def test_energy_part_rejects_a_nan_extraction(monkeypatch, got):
+    # one NaN entry is enough: max(0.0, nan) would be 0.0 and pass
+    monkeypatch.setattr(stretchlab.compose, "extract_lame", lambda *a, **k: LameParams(*got))
+    with pytest.raises(InvalidParameterError, match="mu-part extraction"):
+        EnergyPart("mu", make_material("arap", {}))
+
+
+def test_energy_part_rejects_a_nan_energy(monkeypatch):
+    energy = MaterialModel.energy
+    monkeypatch.setattr(MaterialModel, "energy", lambda self, s: energy(self, s) * np.nan)
+    with pytest.raises(InvalidParameterError, match=r"mu-part extraction \(nan, nan\)"):
+        EnergyPart("mu", make_material("arap", {}))
+
+
+def test_linear_combination_drops_zero_entries():
+    svk = make_material("st_venant_kirchhoff", {"mu": 1.0, "lam": 0.0})  # a zero lam entry
+    hencky = make_material("hencky", {"mu": 1.0, "lam": 2.0})
+    combo = LinearCombination([(2.0, svk), (0.0, hencky)])
+    assert [(c, alpha) for c, alpha, _ in combo.terms] == [(4.0, 2.0)]
+    # the domain and scale still come from every operand
+    assert combo.domain == "positive"
+    assert combo.modulus_scale == 2.0 * svk.modulus_scale
+    s = np.random.default_rng(4).uniform(0.6, 1.6, size=(5, 3))
+    assert np.allclose(combo.energy(s), 2.0 * svk.energy(s), rtol=1e-14, atol=0.0)
+    assert np.allclose(combo.hessian(s), 2.0 * svk.hessian(s), rtol=1e-14, atol=1e-300)
+    # the SVK mu-part keeps one of the eight entries of its two raw terms
+    _, mu_part = decompose("st_venant_kirchhoff", {"mu": 1.0, "lam": 1.0})
+    assert len(mu_part.model.terms) == 1 and mu_part.model.terms[0][0] != 0.0
+
+
+def test_all_zero_combination_keeps_shapes():
+    combo = LinearCombination([(0.0, make_material("hencky", {"mu": 1.0, "lam": 1.0}))])
+    assert combo.terms == []
+    s = np.full((2, 4, 3), 1.2)
+    for got, shape in ((combo.energy(s), (2, 4)), (combo.gradient(s), (2, 4, 3)),
+                       (combo.hessian(s), (2, 4, 3, 3))):
+        assert got.shape == shape and not got.any()
+    assert combo.energy(s[0, 0]) == 0.0 and isinstance(combo.energy(s[0, 0]), float)
+    assert combo.gradient(s[0, 0]).shape == (3,) and combo.hessian(s[0, 0]).shape == (3, 3)
+    assert combo.rest_stable
+    with pytest.raises(DomainViolationError):
+        combo.energy(np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]))

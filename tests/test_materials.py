@@ -281,3 +281,54 @@ def test_fd_extraction_allowing_rest_stress_evaluates_no_gradient(evaluations):
     model = make_material("ogden", {"terms": [[1.0, 2.0]]})
     extract_lame(model, method="fd", allow_rest_stress=True)
     assert evaluations == [0]
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_a_nan_rest_gradient_is_not_rest_stable(monkeypatch, bad):
+    gradient = MaterialModel.gradient
+
+    def nan_entry(self, s):
+        g = gradient(self, s)
+        g[bad] = np.nan
+        return g
+
+    monkeypatch.setattr(MaterialModel, "gradient", nan_entry)
+    model = make_material("hencky", {"mu": 1.0, "lam": 1.0})
+    assert not model.rest_stable and not eager_rest_stable(model)
+
+
+# Exponent draws index a tuple; the oracle draws them with rng.choice
+
+def choice_sample_params(family, rng, rest_stable=False):
+    """Oracle: ``sample_params`` of seth_hill, symmetric_seth_hill and ogden by rng.choice."""
+    mu = float(rng.uniform(0.5, 5.0))
+    lam = float(rng.uniform(-0.5, 5.0) * mu)
+    if family != "ogden":
+        alpha = float(rng.choice([-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+        return {"mu": mu, "lam": lam, "alpha": alpha}
+    if rest_stable:
+        m1 = float(rng.uniform(1.0, 4.0))
+        return {"terms": [[m1, 2.0], [-m1, -2.0]]}
+    n = int(rng.integers(1, 4))
+    return {
+        "terms": [
+            [float(rng.uniform(0.5, 3.0)), float(rng.choice([-2.0, 1.5, 2.0, 3.0, 4.0]))]
+            for _ in range(n)
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "family, rest_stable",
+    [("seth_hill", False), ("symmetric_seth_hill", False), ("ogden", False), ("ogden", True)],
+)
+def test_index_draws_match_the_rng_choice_stream(family, rest_stable):
+    rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+    got = [sample_params(family, rng, rest_stable=rest_stable) for _ in range(10_000)]
+    want = [choice_sample_params(family, ref, rest_stable=rest_stable) for _ in range(10_000)]
+    assert got == want
+    assert rng.random() == ref.random()
+    exponents = [p["alpha"] for p in got] if family != "ogden" else [
+        a for p in got for _, a in p["terms"]
+    ]
+    assert all(type(a) is float for a in exponents)
