@@ -34,6 +34,8 @@ from .errors import InvalidParameterError, NonSeparableFamilyError, UnreachableT
 from .filtering import filter_nonlinearity
 from .lame import extract_lame
 from .materials import MaterialModel, list_catalog, make_material
+from .profiles import get_profile
+from .terms import Volumetric
 
 __all__ = [
     "EnergyPart",
@@ -95,11 +97,14 @@ class EnergyPart:
 
 
 def volumetric_part(kind="j_minus_1_sq"):
-    """The Neo-Hookean lambda-part: (J-1)^2/2 or log^2(J)/2."""
+    """The Neo-Hookean lambda-part: (J-1)^2/2 or log^2(J)/2, one Volumetric entry."""
     if kind not in VOLUMETRIC_KINDS:
         raise InvalidParameterError(f"volumetric kind must be one of {VOLUMETRIC_KINDS}")
-    h = "j_minus_1_sq" if kind == "j_minus_1_sq" else "log_sq"
-    model = make_material("valanis_landel_new", {"f": "scaled:0:stretch_well", "h": h})
+    h = get_profile("j_minus_1_sq" if kind == "j_minus_1_sq" else "log_sq")
+    # h''(1) = 1: Lame pair (1, 0) and modulus scale 1
+    model = MaterialModel(
+        "volumetric", {"kind": kind}, "positive", [(1.0, 1.0, Volumetric(h))], 1.0, (1.0, 0.0)
+    )
     return EnergyPart("lambda", model)
 
 

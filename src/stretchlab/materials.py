@@ -11,6 +11,9 @@ list, and the chain rule of the filter lives in one place,
 alpha, and St. Venant-Kirchhoff the same list at alpha = 2. Energy,
 gradient and Hessian take one triple (3,) or a stack (..., 3), such as the
 stretches of every element of a mesh, through the same evaluator.
+:func:`stack` groups models by their ``(alpha, term)`` lists and makes
+each group of k one model with coefficient columns, evaluated on
+(k, ..., 3) in one call.
 
 Each family is one row of ``_FAMILIES``: parameter schema, term builder,
 closed-form Lame pair, domain, parameters that must be positive,
@@ -18,11 +21,12 @@ modulus-scale rule, random draw (``sample_params``) and the inverse of the
 Lame pair (``normalize``). Families whose written form carries a rest stress
 (Ogden with one-signed coefficients, Mooney-Rivlin off C2 = -C1/2) are
 flagged ``rest_stable=False``; their rest-Hessian Lame extraction is still
-well defined.
+well defined. Draws of one family share their profile objects where the
+draw allows (fixed profiles, and the exponents the draws pick from), so
+their terms compare equal and the draws stack.
 """
 
 import functools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,21 +45,27 @@ __all__ = [
     "catalog_families",
     "sample_params",
     "normalize",
+    "stack",
     "REST_STABILITY_RTOL",
 ]
 
 REST_STABILITY_RTOL = 1e-8
 
-_REST = np.ones(3)
 _EYE = np.eye(3)
 
 
 def _derivative(terms, x, order):
-    """sum coef * (value, gradient or Hessian) of the terms at x."""
+    """sum coef * (value, gradient or Hessian) of the terms at x.
+
+    A coefficient column (k,) multiplies the k draws of the leading axis.
+    """
     kind = ("value", "grad", "hess")[order]
     out = 0.0
     for c, t in terms:
-        out += c * getattr(t, kind)(x)
+        v = getattr(t, kind)(x)
+        if isinstance(c, np.ndarray):
+            c = c.reshape(c.shape + (1,) * (v.ndim - 1))
+        out += c * v
     return out
 
 
@@ -72,11 +82,23 @@ class MaterialModel:
         Validity domain of the stretches.
     terms : list of (coef, alpha, term)
         The energy sum coef * term(l^alpha) / alpha^2.
+    structure : tuple of (alpha, term)
+        The list without its coefficients, hashable. Profiles compare by
+        identity, and the catalog shares the profiles of one family's
+        draws where it can, so draws with equal structures differ only in
+        their coefficients.
     modulus_scale : float
         Characteristic stress magnitude, used to scale tolerances.
     rest_stable : bool
         True when the gradient vanishes at (1, 1, 1). Computed on first
         read and then kept, so building a model evaluates nothing.
+
+    Coefficient columns: every coef may instead be a 1-D array of length
+    k (see :func:`stack`). The model is then k draws that share one
+    structure. It takes stretches with a leading draw axis, (k, ..., 3),
+    and draw i gives, to the last bit, what the scalar model of column
+    entry i gives on its slice. ``modulus_scale`` is then a (k,) array and
+    ``rest_stable`` a (k,) bool array.
     """
 
     def __init__(self, family, params, domain, terms, modulus_scale, lame=None):
@@ -88,14 +110,18 @@ class MaterialModel:
         self._lame = lame
         groups = {}
         for coef, alpha, term in self.terms:
-            groups.setdefault(float(alpha), []).append((float(coef), term))
+            c = coef if isinstance(coef, np.ndarray) else float(coef)
+            groups.setdefault(float(alpha), []).append((c, term))
         self._groups = list(groups.items())
+        self.structure = tuple([(alpha, term) for _, alpha, term in self.terms])
 
     @functools.cached_property
     def rest_stable(self):
-        tol = REST_STABILITY_RTOL * max(1.0, self.modulus_scale)
-        # max |g_i| <= tol, over Python floats; a NaN entry fails, as in np.max
-        return all(abs(g) <= tol for g in self.gradient(_REST).tolist())
+        scale = self.modulus_scale
+        g = self.gradient(np.ones(np.shape(scale) + (3,)))
+        # max |g_i| <= tol per draw; np.max keeps a NaN entry, which fails
+        ok = np.abs(g).max(axis=-1) <= REST_STABILITY_RTOL * np.maximum(1.0, scale)
+        return ok if ok.ndim else bool(ok)
 
     def _evaluate(self, s, order):
         s = np.asarray(s, dtype=float)
@@ -129,17 +155,13 @@ class MaterialModel:
         order and carries its position as ``index``.
         """
         s = np.asarray(s, dtype=float)
-        v = s.ravel().tolist()
-        # a non-finite entry makes the sum non-finite; finite entries whose
-        # sum overflows fall through to the exact test below
-        if math.isfinite(sum(v)) and (self.domain != "positive" or min(v) > 0.0):
+        if np.isfinite(s).all() and (self.domain != "positive" or s.min() > 0.0):
             return
+        # the search for the first invalid triple runs only to build the error
         rows = s.reshape(-1, 3)
         bad = ~np.isfinite(rows).all(axis=1)
         if self.domain == "positive":
             bad |= ~(rows > 0.0).all(axis=1)
-        if not bad.any():
-            return
         i = int(np.argmax(bad))
         index = i if s.ndim > 1 else None
         what = "finite" if not np.isfinite(rows[i]).all() else "strictly positive"
@@ -180,6 +202,29 @@ def evaluate(model, s):
     return model.energy(s), model.gradient(s), model.hessian(s)
 
 
+def stack(models):
+    """The models grouped by domain and ``structure``, each group as one
+    model with coefficient columns (see :class:`MaterialModel`).
+
+    Returns (indices, model) pairs, one per group in first-seen order:
+    draw j of the model is ``models[indices[j]]``, with its coefficients
+    and modulus scale, evaluated on slice j of a (len(indices), ..., 3)
+    stack. The family label is the first member's.
+    """
+    groups = {}
+    for i, model in enumerate(models):
+        groups.setdefault((model.domain, model.structure), []).append(i)
+    out = []
+    for (domain, _), idx in groups.items():
+        first = models[idx[0]]
+        coefs = np.array([c for i in idx for c, _, _ in models[i].terms], dtype=float)
+        columns = coefs.reshape(len(idx), -1).T
+        terms = [(col, alpha, term) for col, (_, alpha, term) in zip(columns, first.terms)]
+        scale = np.array([models[i].modulus_scale for i in idx], dtype=float)
+        out.append((idx, MaterialModel(first.family, {}, domain, terms, scale)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Family profiles and term builders
 
@@ -208,6 +253,12 @@ _J_MINUS_1 = Volumetric(_LINEAR)
 _J_MINUS_1_SQ = Volumetric(_SQUARE)
 
 
+# Factories of profiles over a float parameter keep their last few results,
+# so that draws with one exponent share one profile. A cache is bounded,
+# since a user record can hold any float.
+
+
+@functools.lru_cache(maxsize=16)
 def _sym_power(a):
     """(x^a - x^-a) / (2a), the symmetric Seth-Hill strain."""
     return Profile(
@@ -218,10 +269,21 @@ def _sym_power(a):
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _ogden_power(a):
+    """The Ogden profile power:<a>."""
+    return get_profile(f"power:{a!r}")
+
+
 def _j_power(p):
     """The volumetric term J^p."""
     d1, d2 = (lambda x: p * x ** (p - 1.0)), (lambda x: p * (p - 1.0) * x ** (p - 2.0))
     return Volumetric(Profile(f"x^{p:g}", lambda x: x**p, d1, d2))
+
+
+# the Mooney-Rivlin volume factors J^(-2/3) and J^(-4/3)
+_J_TWO_THIRDS = _j_power(-2.0 / 3.0)
+_J_FOUR_THIRDS = _j_power(-4.0 / 3.0)
 
 
 def _hill(p, f, alpha=1.0):
@@ -256,7 +318,7 @@ def _ogden(p):
         raise InvalidParameterError("exponents must be nonzero")
     if any(m == 0.0 for m, _ in terms):
         raise InvalidParameterError("coefficients must be nonzero")
-    return [(m, 1.0, Separable(get_profile(f"power:{a!r}"))) for m, a in terms]
+    return [(m, 1.0, Separable(_ogden_power(a))) for m, a in terms]
 
 
 def _well_terms(p, *kinds):
@@ -318,12 +380,18 @@ def _pick(rng, options):
     return options[int(rng.integers(0, len(options)))]
 
 
+def _uniform(rng, low, high):
+    """rng.uniform(low, high) to the last bit (low + (high - low) * one double of
+    the stream), at under half its cost."""
+    return low + (high - low) * rng.random()
+
+
 def _draw_exponent(rng):
     return _pick(rng, (-2.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0))
 
 
 def _draw_hill_profile(rng):
-    return "log" if rng.random() < 0.5 else f"power:{float(rng.uniform(0.5, 3.0))!r}"
+    return "log" if rng.random() < 0.5 else f"power:{_uniform(rng, 0.5, 3.0)!r}"
 
 
 def _xu_inverse(lam, mu, base):
@@ -336,12 +404,12 @@ def _xu_inverse(lam, mu, base):
 def _ogden_draw(rng, mu, lam, rest_stable):
     if rest_stable:
         # two terms with cancelling rest stress: mu1 + mu2 = 0
-        m1 = float(rng.uniform(1.0, 4.0))
+        m1 = _uniform(rng, 1.0, 4.0)
         return {"terms": [[m1, 2.0], [-m1, -2.0]]}
     n = int(rng.integers(1, 4))
     return {
         "terms": [
-            [float(rng.uniform(0.5, 3.0)), _pick(rng, (-2.0, 1.5, 2.0, 3.0, 4.0))]
+            [_uniform(rng, 0.5, 3.0), _pick(rng, (-2.0, 1.5, 2.0, 3.0, 4.0))]
             for _ in range(n)
         ]
     }
@@ -358,8 +426,8 @@ def _ogden_inverse(lam, mu, base):
 
 
 def _mooney_rivlin_draw(rng, mu, lam, rest_stable):
-    c1 = float(rng.uniform(0.5, 5.0))
-    return {"c1": c1, "c2": -0.5 * c1 if rest_stable else float(rng.uniform(-1.0, 1.0) * c1)}
+    c1 = _uniform(rng, 0.5, 5.0)
+    return {"c1": c1, "c2": -0.5 * c1 if rest_stable else _uniform(rng, -1.0, 1.0) * c1}
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +497,7 @@ _FAMILIES = {
     "sts": _Family(
         dict(_MU_LAM, mu4="Pa"),
         lambda p: _neo_hookean(p, _LOG_J, _LOG_J_SQ),
-        **_held("mu4", lambda rng: float(rng.uniform(0.1, 2.0)), 0.0),
+        **_held("mu4", lambda rng: _uniform(rng, 0.1, 2.0), 0.0),
     ),
     # 2 mu sum (l_i (log l_i - 1) + 1) + lam/2 log^2 J
     "valanis_landel_original": _Family(
@@ -447,8 +515,8 @@ _FAMILIES = {
         positive=(),
         scale=lambda p: max(abs(_curvature(p, "f")), abs(_curvature(p, "h")), 1e-300),
         sample=lambda rng, mu, lam, _: {
-            "f": _scaled(rng.uniform(0.5, 5.0), "stretch_well"),
-            "h": _scaled(rng.uniform(0.5, 5.0), "log_sq"),
+            "f": _scaled(_uniform(rng, 0.5, 5.0), "stretch_well"),
+            "h": _scaled(_uniform(rng, 0.5, 5.0), "log_sq"),
         },
         inverse=lambda lam, mu, base: {
             "f": _scaled(2.0 * mu, "stretch_well"), "h": _scaled(lam, "log_sq")
@@ -465,9 +533,9 @@ _FAMILIES = {
         positive=(),
         scale=lambda p: max(*(abs(_curvature(p, k)) for k in "fgh"), 1e-300),
         sample=lambda rng, mu, lam, _: {
-            "f": _scaled(rng.uniform(0.5, 5.0), "stretch_well"),
-            "g": _scaled(rng.uniform(0.2, 2.0), "power_well:2"),
-            "h": _scaled(rng.uniform(0.5, 5.0), "j_minus_1_sq"),
+            "f": _scaled(_uniform(rng, 0.5, 5.0), "stretch_well"),
+            "g": _scaled(_uniform(rng, 0.2, 2.0), "power_well:2"),
+            "h": _scaled(_uniform(rng, 0.5, 5.0), "j_minus_1_sq"),
         },
         inverse=_xu_inverse,
     ),
@@ -476,7 +544,7 @@ _FAMILIES = {
         lambda p: [(float(p["E"]), 1.0, Separable(_PENG_LANDEL))],
         lame=lambda p: (0.0, float(p["E"]) / 3.0),
         positive=("E",),
-        sample=lambda rng, mu, lam, _: {"E": float(rng.uniform(0.5, 10.0))},
+        sample=lambda rng, mu, lam, _: {"E": _uniform(rng, 0.5, 10.0)},
         inverse=lambda lam, mu, base: {"E": 3.0 * mu},
     ),
     # sum (l_i - 1)^2, the stretch form of the distance to rotations
@@ -521,8 +589,8 @@ _FAMILIES = {
     "mooney_rivlin": _Family(
         {"c1": "Pa", "c2": "Pa"},
         lambda p: [
-            (float(p["c1"]), 1.0, Product(_j_power(-2.0 / 3.0), Separable(_SQ_MINUS_1))),
-            (float(p["c2"]), 1.0, Product(_j_power(-4.0 / 3.0), Pair(_SQ_MINUS_1))),
+            (float(p["c1"]), 1.0, Product(_J_TWO_THIRDS, Separable(_SQ_MINUS_1))),
+            (float(p["c2"]), 1.0, Product(_J_FOUR_THIRDS, Pair(_SQ_MINUS_1))),
         ],
         lame=lambda p: (-4.0 / 3.0 * (2.0 * float(p["c1"]) + 5.0 * float(p["c2"])), float(p["c1"])),
         positive=("c1",),
@@ -610,8 +678,8 @@ def sample_params(family, rng, rest_stable=False):
     carry a rest stress for generic parameters).
     """
     row = _row(family)
-    mu = float(rng.uniform(0.5, 5.0))
-    lam = float(rng.uniform(-0.5, 5.0) * mu)
+    mu = _uniform(rng, 0.5, 5.0)
+    lam = _uniform(rng, -0.5, 5.0) * mu
     return row.sample(rng, mu, lam, rest_stable)
 
 

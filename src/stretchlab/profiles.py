@@ -22,6 +22,7 @@ f(1) = 0 and f'(1) = 0; all built-in well shapes have f''(1) = 1 so a
 ``scaled:`` wrapper directly sets the curvature at rest.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,9 +35,13 @@ __all__ = ["Profile", "get_profile", "half_square", "list_profiles"]
 _CONTRACT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profile:
-    """A scalar map with first and second derivatives, elementwise on arrays."""
+    """A scalar map with first and second derivatives, elementwise on arrays.
+
+    Profiles compare by identity, so terms over one profile object are
+    equal and hash alike.
+    """
 
     name: str
     value: Callable[[float], float] = field(repr=False)
@@ -59,9 +64,44 @@ class Profile:
             )
         return self
 
+    @functools.cached_property
+    def _half_square(self):
+        # the closures hold the functions, not the profile: no reference cycle
+        v, d1, d2 = self.value, self.d1, self.d2
+        return Profile(
+            f"half_square:{self.name}",
+            lambda x: 0.5 * v(x) ** 2,
+            lambda x: v(x) * d1(x),
+            lambda x: d1(x) ** 2 + v(x) * d2(x),
+        )
 
-def _log_profile():
-    return Profile("log", np.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2)
+
+# the parameter-free profiles, built once, so that terms over one of them
+# share one object
+_FIXED = {
+    p.name: p
+    for p in (
+        Profile("log", np.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2),
+        Profile(
+            "log_sq",
+            lambda x: 0.5 * np.log(x) ** 2,
+            lambda x: np.log(x) / x,
+            lambda x: (1.0 - np.log(x)) / x**2,
+        ),
+        Profile(
+            "j_minus_1_sq",
+            lambda x: 0.5 * (x - 1.0) ** 2,
+            lambda x: x - 1.0,
+            lambda x: 0.0 * x + 1.0,
+        ),
+        Profile(
+            "stretch_well",
+            lambda x: x - 1.0 - np.log(x),
+            lambda x: 1.0 - 1.0 / x,
+            lambda x: 1.0 / x**2,
+        ),
+    )
+}
 
 
 def _power_profile(beta):
@@ -75,33 +115,6 @@ def _power_profile(beta):
     )
 
 
-def _log_sq_profile():
-    return Profile(
-        "log_sq",
-        lambda x: 0.5 * np.log(x) ** 2,
-        lambda x: np.log(x) / x,
-        lambda x: (1.0 - np.log(x)) / x**2,
-    )
-
-
-def _j_minus_1_sq_profile():
-    return Profile(
-        "j_minus_1_sq",
-        lambda x: 0.5 * (x - 1.0) ** 2,
-        lambda x: x - 1.0,
-        lambda x: 0.0 * x + 1.0,
-    )
-
-
-def _stretch_well_profile():
-    return Profile(
-        "stretch_well",
-        lambda x: x - 1.0 - np.log(x),
-        lambda x: 1.0 - 1.0 / x,
-        lambda x: 1.0 / x**2,
-    )
-
-
 def _power_well_profile(beta):
     if beta == 0.0:
         raise InvalidParameterError("power_well profile exponent must be nonzero")
@@ -110,13 +123,12 @@ def _power_well_profile(beta):
 
 
 def half_square(base):
-    """The profile (1/2) base(x)^2."""
-    return Profile(
-        f"half_square:{base.name}",
-        lambda x: 0.5 * base.value(x) ** 2,
-        lambda x: base.value(x) * base.d1(x),
-        lambda x: base.d1(x) ** 2 + base.value(x) * base.d2(x),
-    )
+    """The profile (1/2) base(x)^2.
+
+    It is built once per base and kept on the base, so two terms over one
+    base share it, and it lives no longer than the base.
+    """
+    return base._half_square
 
 
 def _scaled_profile(c, inner):
@@ -141,14 +153,8 @@ def get_profile(name):
         return name
     if not isinstance(name, str):
         raise InvalidParameterError(f"profile handle must be a string, got {type(name)!r}")
-    if name == "log":
-        return _log_profile()
-    if name == "log_sq":
-        return _log_sq_profile()
-    if name == "j_minus_1_sq":
-        return _j_minus_1_sq_profile()
-    if name == "stretch_well":
-        return _stretch_well_profile()
+    if name in _FIXED:
+        return _FIXED[name]
     if name.startswith("power_well:"):
         return _power_well_profile(_parse_float(name, name.split(":", 1)[1]))
     if name.startswith("power:"):

@@ -38,8 +38,10 @@ _PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _total(v):
-    """Sum over the last axis (Python's sum is several times cheaper on one 3-vector)."""
-    return sum(v.tolist()) if v.ndim == 1 else v.sum(axis=-1)
+    """Sum over the last axis, left to right. On a stack this is what
+    ``v.sum(axis=-1)`` gives, at a fraction of its cost, which grows with
+    the rows; on one 3-vector Python's sum is several times cheaper still."""
+    return sum(v.tolist()) if v.ndim == 1 else (v[..., 0] + v[..., 1]) + v[..., 2]
 
 
 def _pick(x, idx):

@@ -18,7 +18,7 @@ import stretchlab.compose
 import stretchlab.specs
 from stretchlab.cli import _initial_guess, build_parser, main, stretch_curve, verify_table
 from stretchlab.errors import ConvergenceError, InvertedElementError
-from stretchlab.fem import ElementBasis, generate_mesh
+from stretchlab.fem import ElementBasis, assemble, generate_mesh
 from stretchlab.lame import extract_lame
 from stretchlab.materials import MaterialModel, catalog_families, make_material, sample_params
 
@@ -512,9 +512,43 @@ def test_modes_report_unchanged_by_dropping_zero_entries(capsys, tmp_path, monke
         patch.setattr(stretchlab.compose, "LinearCombination", keep_zeros_linear_combination)
         zeros_kept = stretchlab.specs.build_material(json.loads(spec_b.read_text()))
         ref_code, ref_out, _ = run(capsys, *argv)
-    assert len(zeros_kept.terms) == 8
-    assert len(stretchlab.specs.build_material(json.loads(spec_b.read_text())).terms) == 3
+    assert len(zeros_kept.terms) == 7
+    assert len(stretchlab.specs.build_material(json.loads(spec_b.read_text())).terms) == 2
     assert ref_code == 0 and json.loads(out) == json.loads(ref_out)
+
+
+def zero_well_volumetric_part(kind="j_minus_1_sq"):
+    """Oracle: the lambda-part as the Valanis-Landel sum f(l_i) + h(J) with f = 0."""
+    h = "j_minus_1_sq" if kind == "j_minus_1_sq" else "log_sq"
+    model = make_material("valanis_landel_new", {"f": "scaled:0:stretch_well", "h": h})
+    return stretchlab.compose.EnergyPart("lambda", model)
+
+
+@pytest.mark.parametrize("kind", ["j_minus_1_sq", "log_j_sq"])
+def test_modes_unchanged_by_dropping_the_zero_volumetric_entry(capsys, tmp_path, monkeypatch,
+                                                               kind):
+    spec_a = tmp_path / "a.json"
+    spec_a.write_text(json.dumps({"family": "stable_neo_hookean",
+                                  "params": {"mu": 38461.5, "lam": 96153.8}}))
+    spec = {"combine": {"mu_part": {"family": "st_venant_kirchhoff",
+                                    "params": {"mu": 1.0, "lam": 1.0}},
+                        "lambda_part": kind, "E": 1e5, "nu": 0.3, "alpha_mu": 2.0,
+                        "alpha_lambda": 1.5}}
+    spec_b = tmp_path / "b.json"
+    spec_b.write_text(json.dumps(spec))
+    argv = ("modes", "--spec-a", str(spec_a), "--spec-b", str(spec_b), "--n", "2", "--k", "6")
+    code, out, _ = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(stretchlab.specs, "volumetric_part", zero_well_volumetric_part)
+        old = stretchlab.specs.build_material(spec)
+        ref_code, ref_out, _ = run(capsys, *argv)
+    new = stretchlab.specs.build_material(spec)
+    assert len(old.terms) == len(new.terms) + 1
+    assert code == ref_code == 0 and out == ref_out
+    mesh = generate_mesh("beam", 2)
+    basis = ElementBasis(mesh)
+    K_new, K_old = (assemble(mesh, m, basis=basis).stiffness.data for m in (new, old))
+    assert K_new.tobytes() == K_old.tobytes()
 
 
 def test_stretch_test_rejects_zero_steps(capsys, tmp_path):
@@ -580,19 +614,36 @@ def test_verify_table_matches_two_call_oracle(seed):
     assert verify_table(seed=seed) == two_call_verify_table(seed=seed)
 
 
-def test_verify_table_evaluates_once_per_draw(monkeypatch):
-    # 19 families x 10 draws: one energy call for the fd pair and the
-    # symmetry check, one gradient call for the rest-stable draw
-    orders = []
+def test_verify_table_evaluates_once_per_term_structure(monkeypatch):
+    # one energy call per (family, term structure) of the closure draws and
+    # one rest-gradient call per (family, term structure) of the rest-stable
+    # draws; the structures come from replaying the draws of seed 5
+    rng = np.random.default_rng(5)
+    want = []
+    for family in catalog_families():
+        structures = ({}, {})
+        for _ in range(10):
+            model = make_material(family, sample_params(family, rng))
+            structures[0][tuple((alpha, term) for _, alpha, term in model.terms)] = None
+            rng.uniform(0.5, 2.0, size=(3, 3))
+            model = make_material(family, sample_params(family, rng, rest_stable=True))
+            structures[1][tuple((alpha, term) for _, alpha, term in model.terms)] = None
+        want += [(family, order) for order in (0, 1) for _ in structures[order]]
+    calls = []
     evaluate = MaterialModel._evaluate
 
     def counting(self, s, order):
-        orders.append(order)
+        calls.append((self.family, order))
         return evaluate(self, s, order)
 
     monkeypatch.setattr(MaterialModel, "_evaluate", counting)
     verify_table(seed=5)
-    assert sorted(orders) == [0] * 190 + [1] * 190
+    assert sorted(calls) == sorted(want)
+    # families whose draws differ only in their coefficients make one call each
+    for family in ("hencky", "neo_hookean", "mooney_rivlin", "symmetric_arap"):
+        assert calls.count((family, 0)) == calls.count((family, 1)) == 1
+    # at most a third of the 190 + 190 evaluations of one call per draw
+    assert max(sum(o == order for _, o in calls) for order in (0, 1)) <= 190 // 3
 
 
 def test_verify_table_seed_176_mooney_rivlin_symmetry():

@@ -77,6 +77,25 @@ def test_volumetric_parts(kind):
     assert abs(part.model.energy(s)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "lambda_part",
+    ["j_minus_1_sq", "log_j_sq", {"family": "stable_neo_hookean", "params": {"mu": 1, "lam": 2}}],
+)
+@pytest.mark.parametrize(
+    "mu_part",
+    [{"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}}, {"family": "arap"}],
+)
+def test_combine_spec_holds_no_zero_entry(lambda_part, mu_part):
+    # every entry has a nonzero coefficient and a profile that is not identically zero
+    model = build_material({"combine": {"mu_part": mu_part, "lambda_part": lambda_part,
+                                        "E": 1e5, "nu": 0.3, "alpha_mu": 2.0}})
+    s = np.random.default_rng(9).uniform(0.5, 2.0, size=(50, 3))
+    for coef, alpha, term in model.terms:
+        assert coef != 0.0
+        assert np.any(term.value(s**alpha) != 0.0), term
+    assert len(volumetric_part("j_minus_1_sq").model.terms) == 1
+
+
 def test_volumetric_part_values():
     # [DERIVED] by hand: (J - 1)^2 / 2 and log(J)^2 / 2 at J = 2
     s = np.array([2.0, 1.0, 1.0])

@@ -332,3 +332,17 @@ def test_index_draws_match_the_rng_choice_stream(family, rest_stable):
         a for p in got for _, a in p["terms"]
     ]
     assert all(type(a) is float for a in exponents)
+
+
+@pytest.mark.parametrize("family", catalog_families())
+def test_uniform_draws_match_the_rng_uniform_stream(family, monkeypatch):
+    # sample_params draws its floats from one rng.random() each; the oracle
+    # makes the same draws with rng.uniform
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    got = [sample_params(family, rng, rest_stable=bool(i % 2)) for i in range(2000)]
+    monkeypatch.setattr(
+        stretchlab.materials, "_uniform", lambda r, low, high: float(r.uniform(low, high))
+    )
+    want = [sample_params(family, ref, rest_stable=bool(i % 2)) for i in range(2000)]
+    assert got == want
+    assert rng.random() == ref.random()
