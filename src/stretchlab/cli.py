@@ -17,6 +17,7 @@ inverted element, 4 verification failure.
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -208,7 +209,38 @@ def cmd_stretch_test(args):
     return EXIT_CONVERGENCE if skipped else EXIT_OK
 
 
+def rel_frobenius_diff(a, b):
+    """||a - b|| / ||a|| in the Frobenius norm, with 1 for a zero ||a||.
+
+    The sums of squares are ``np.sum(d * d)``, a pairwise sum in numpy's
+    own loops, never ``np.linalg.norm``, ``np.dot``, ``np.vdot`` or ``@``
+    on vectors: those call numpy's OpenBLAS ``ddot``, which on the
+    ~100k stiffness values of ``modes`` wakes numpy's BLAS thread pool,
+    and its threads then spin on the cores while scipy's own OpenBLAS
+    factors the band in ``modal_frequencies``. The pairwise sum is also
+    the more accurate one.
+    """
+    a = np.ravel(a)
+    d = a - np.ravel(b)
+    return math.sqrt(np.sum(d * d)) / (math.sqrt(np.sum(a * a)) or 1.0)
+
+
 def cmd_modes(args):
+    """Rest stiffness and modal frequencies of two specs on one mesh.
+
+    The stiffness difference is ``rel_frobenius_diff`` of the block values.
+    numpy and scipy each load their own OpenBLAS, each with its own
+    thread pool, and a pool that has been woken keeps its threads
+    spinning for a while after the call. So ``modes`` makes no numpy BLAS
+    call large enough to thread, and scipy's band Cholesky ``dpbtrf``
+    runs alone. The BLAS-backed numpy calls of the three workloads are:
+
+    - the Newton ``np.linalg.solve`` of ``stretch-test``, on the free
+      coordinates, which is needed and can wake numpy's pool;
+    - ``svd``, ``eigh``, ``inv`` and ``det`` on stacks of 3x3 matrices,
+      the 2x2 solves of ``compose`` and the batched element products
+      with ``G``, all of them too small to thread.
+    """
     with open(args.spec_a) as fh:
         model_a = build_material(json.load(fh))
     with open(args.spec_b) as fh:
@@ -221,10 +253,8 @@ def cmd_modes(args):
     basis = ElementBasis(mesh)
     Ka = assemble(mesh, model_a, basis=basis).stiffness.data
     Kb = assemble(mesh, model_b, basis=basis).stiffness.data
-    denom = np.linalg.norm(Ka) or 1.0
-    kdiff = float(np.linalg.norm(Ka - Kb) / denom)
     out = {
-        "stiffness_rel_frobenius_diff": kdiff,
+        "stiffness_rel_frobenius_diff": rel_frobenius_diff(Ka, Kb),
         "frequencies_a_hz": list(modal_frequencies(mesh, model_a, bc, args.k, basis=basis)),
         "frequencies_b_hz": list(modal_frequencies(mesh, model_b, bc, args.k, basis=basis)),
     }

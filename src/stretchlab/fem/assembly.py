@@ -136,7 +136,11 @@ class ElementBasis:
         self.Bm = np.linalg.inv(edge_matrices(mesh.vertices, tets))
         # F_ab = sum_n x_{n,a} w_{n,b}: vertex 0 weighs minus the column sums of Bm
         w = np.concatenate([-self.Bm.sum(axis=1, keepdims=True), self.Bm], axis=1)
-        self.G = np.einsum("enb,ac->eabnc", w, np.eye(3)).reshape(m, 9, 12)
+        # G[e, a, b, n, c] = w[e, n, b] if a == c else 0
+        G = np.zeros((m, 3, 3, 4, 3))
+        for a in range(3):
+            G[:, a, :, :, a] = w.swapaxes(1, 2)
+        self.G = G.reshape(m, 9, 12)
         self.dofs = (3 * tets[:, :, None] + np.arange(3)).reshape(m, 12)
         # the vertex pairs (a, b) of every tet, as row-major keys a * nv + b;
         # sorted unique keys are the blocks in BSR order
@@ -283,7 +287,8 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
     Ke = Gt @ stress_jacobian_from_svd(svd, g, H, project=project) @ G
     # symmetric element matrices give an exactly symmetric K: bincount adds
     # K[i, j] and K[j, i] from the same values in the same element order
-    Ke += Ke.swapaxes(1, 2)
+    # not in place: an add into its own transpose makes numpy copy the input first
+    Ke = Ke + Ke.swapaxes(1, 2)
     Ke *= 0.5 * vol[:, None, None]
     force = np.bincount(basis.dofs.ravel(), weights=fe.ravel(), minlength=ndof)
     nb = len(basis.indices)

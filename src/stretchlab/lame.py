@@ -14,6 +14,7 @@ defined next to the family rows in ``materials`` (each row holds the
 inverse of its closed-form Lame pair) and re-exported here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,8 @@ def lame_to_moduli(lame):
 def moduli_to_lame(moduli):
     """Convert (E, nu) to (lambda_lame, mu_lame)."""
     E, nu = moduli.E, moduli.nu
+    if not (math.isfinite(E) and math.isfinite(nu)):
+        raise InvalidParameterError(f"E and nu must be finite, got E = {E}, nu = {nu}")
     if E <= 0.0:
         raise InvalidParameterError(f"Young's modulus must be positive, got {E}")
     if nu >= 0.5 - 1e-9:

@@ -17,6 +17,8 @@ part by ``compose.unit_part``, which rejects a nonzero other Lame entry
 and an own entry <= 0. Every result is a plain ``MaterialModel``.
 """
 
+import math
+
 from .compose import (
     SEPARABLE_FAMILIES,
     VOLUMETRIC_KINDS,
@@ -43,17 +45,21 @@ def _check_keys(spec, allowed, where):
 
 def _number(value, where):
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise InvalidParameterError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def build_material(spec):
     """Construct a MaterialModel from a parsed JSON spec.
 
     Raises InvalidParameterError for any malformed spec: unknown or
-    missing keys, or a value of the wrong type. A part spec that fails
-    the unit-part rule raises as ``compose.unit_part`` does.
+    missing keys, a value of the wrong type, or a non-finite number. A
+    part spec that fails the unit-part rule raises as
+    ``compose.unit_part`` does.
     """
     if not isinstance(spec, dict):
         raise InvalidParameterError(f"material spec must be an object, got {type(spec).__name__}")

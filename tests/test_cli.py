@@ -16,7 +16,14 @@ import stretchlab
 import stretchlab.cli
 import stretchlab.compose
 import stretchlab.specs
-from stretchlab.cli import _initial_guess, build_parser, main, stretch_curve, verify_table
+from stretchlab.cli import (
+    _initial_guess,
+    build_parser,
+    main,
+    rel_frobenius_diff,
+    stretch_curve,
+    verify_table,
+)
 from stretchlab.errors import ConvergenceError, InvertedElementError
 from stretchlab.fem import ElementBasis, assemble, generate_mesh
 from stretchlab.lame import extract_lame
@@ -111,6 +118,14 @@ def test_normalize_command(capsys):
     mu = 1e6 / 2.6
     assert data["params"]["mu"] == pytest.approx(mu, rel=1e-12)
     assert data["params"]["lam"] == pytest.approx(lam + mu, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "moduli", [("--E", "nan", "--nu", "0.3"), ("--E", "1e6", "--nu", "nan"), ("--E=inf", "--nu=0.3")]
+)
+def test_normalize_rejects_non_finite_moduli(capsys, moduli):
+    code, out, err = run(capsys, "normalize", "--family", "stable_neo_hookean", *moduli)
+    assert code == 2 and out == "" and "must be finite" in err
 
 
 def test_normalize_unreachable_target(capsys):
@@ -456,6 +471,15 @@ def test_modes_rejects_parts_off_the_unit_part_rule(capsys, tmp_path, mu_part, m
     assert code == 2 and out == "" and message in err
 
 
+def test_modes_rejects_a_nan_modulus(capsys, tmp_path):
+    # NaN is the token json writes for float("nan") and reads back
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({"combine": dict(_BENCHMARK_B["combine"], E=float("nan"))}))
+    assert "NaN" in spec.read_text()
+    code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
+    assert code == 2 and out == "" and "combine spec: E must be finite" in err
+
+
 def test_modes_rejects_a_part_with_a_nan_extraction(capsys, tmp_path, monkeypatch):
     # the arap mu-part is rescaled into a "combination"; only its energy is NaN
     energy = MaterialModel.energy
@@ -474,6 +498,50 @@ def test_modes_rejects_a_part_with_a_nan_extraction(capsys, tmp_path, monkeypatc
     )
     code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
     assert code == 2 and out == "" and "mu-part extraction (nan, nan)" in err
+
+
+# spec B of the benchmark's modes pair; spec A is Stable Neo-Hookean at the same moduli
+_BENCHMARK_B = {"combine": {"mu_part": {"family": "st_venant_kirchhoff",
+                                        "params": {"mu": 1.0, "lam": 1.0}},
+                            "lambda_part": "j_minus_1_sq", "E": 1e5, "nu": 0.3, "alpha_mu": 2.0}}
+
+
+# at (1e5, 0.3) the two stiffnesses are equal at n=2; the benchmark's draw
+# for seed 12 leaves them a roundoff apart
+@pytest.mark.parametrize(
+    "E,nu,equal", [(1e5, 0.3, True), (162871.00614880075, 0.34467529428594246, False)]
+)
+def test_rel_frobenius_diff_matches_norm(E, nu, equal):
+    mu = E / (2.0 * (1.0 + nu))
+    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    a = make_material("stable_neo_hookean", {"mu": mu, "lam": lam + mu})
+    b = stretchlab.specs.build_material({"combine": dict(_BENCHMARK_B["combine"], E=E, nu=nu)})
+    mesh = generate_mesh("beam", 2)
+    basis = ElementBasis(mesh)
+    Ka, Kb = (assemble(mesh, m, basis=basis).stiffness.data for m in (a, b))
+    ref = np.linalg.norm(Ka - Kb) / np.linalg.norm(Ka)
+    assert (ref == 0.0) == equal
+    assert rel_frobenius_diff(Ka, Kb) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert rel_frobenius_diff(Ka, Ka.copy()) == 0.0
+    # a zero ||a|| divides by 1
+    assert rel_frobenius_diff(np.zeros_like(Ka), Kb) == pytest.approx(np.linalg.norm(Kb), rel=1e-14)
+    assert rel_frobenius_diff(np.zeros_like(Ka), np.zeros_like(Kb)) == 0.0
+
+
+def test_modes_takes_no_vector_norm_from_numpy_blas(capsys, tmp_path, monkeypatch):
+    # on the ~100k block values of a large mesh these threaded ddots would
+    # wake numpy's BLAS pool while scipy's own factors the band
+    def no_blas(*args, **kwargs):
+        raise AssertionError("a numpy BLAS vector product on the modes path")
+
+    spec = tmp_path / "b.json"
+    spec.write_text(json.dumps(_BENCHMARK_B))
+    for name in ("norm", "vdot", "dot"):
+        module = np.linalg if name == "norm" else np
+        monkeypatch.setattr(module, name, no_blas)
+    code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
+    assert code == 0, err
+    assert json.loads(out)["stiffness_rel_frobenius_diff"] == 0.0
 
 
 def keep_zeros_linear_combination(terms):

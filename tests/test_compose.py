@@ -237,6 +237,21 @@ def test_spec_builder_rejects_wrongly_typed_values(spec):
         build_material(spec)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "hencky", "params": {"mu": 1.0, "lam": 1.0}, "alpha": float("nan")},
+        {"combine": dict(_COMBINE, E=float("nan"))},
+        {"combine": dict(_COMBINE, nu=float("-inf"))},
+        {"combine": dict(_COMBINE, alpha_lambda=float("inf"))},
+        {"combine": dict(_COMBINE, alpha_mu="nan")},
+    ],
+)
+def test_spec_builder_rejects_non_finite_numbers(spec):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        build_material(spec)
+
+
 def test_spec_builder_combination():
     model = build_material(
         {

@@ -191,6 +191,14 @@ def test_moduli_validation():
         lame_to_moduli(LameParams(1.0, -1.0))
 
 
+@pytest.mark.parametrize(
+    "E,nu", [(np.nan, 0.3), (1e5, np.nan), (np.inf, 0.3), (-np.inf, 0.3), (1e5, -np.inf)]
+)
+def test_moduli_validation_rejects_non_finite_values(E, nu):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        moduli_to_lame(IsotropicModuli(E, nu))
+
+
 NORMALIZABLE = (
     "linear_corotational",
     "st_venant_kirchhoff",
