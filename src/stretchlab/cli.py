@@ -210,15 +210,12 @@ def cmd_stretch_test(args):
 
 
 def rel_frobenius_diff(a, b):
-    """||a - b|| / ||a|| in the Frobenius norm, with 1 for a zero ||a||.
+    """||a - b|| / ||a|| in the Frobenius norm, with 1 in place of a zero ||a||.
 
-    The sums of squares are ``np.sum(d * d)``, a pairwise sum in numpy's
-    own loops, never ``np.linalg.norm``, ``np.dot``, ``np.vdot`` or ``@``
-    on vectors: those call numpy's OpenBLAS ``ddot``, which on the
-    ~100k stiffness values of ``modes`` wakes numpy's BLAS thread pool,
-    and its threads then spin on the cores while scipy's own OpenBLAS
-    factors the band in ``modal_frequencies``. The pairwise sum is also
-    the more accurate one.
+    The squares are summed by ``np.sum``, pairwise in numpy's own loops,
+    not by ``np.linalg.norm``, ``np.dot``, ``np.vdot`` or ``@`` on
+    vectors: those are OpenBLAS ``ddot`` calls, which thread above 10,000
+    values and leave numpy's BLAS threads spinning (see ``cmd_modes``).
     """
     a = np.ravel(a)
     d = a - np.ravel(b)
@@ -228,18 +225,18 @@ def rel_frobenius_diff(a, b):
 def cmd_modes(args):
     """Rest stiffness and modal frequencies of two specs on one mesh.
 
-    The stiffness difference is ``rel_frobenius_diff`` of the block values.
-    numpy and scipy each load their own OpenBLAS, each with its own
-    thread pool, and a pool that has been woken keeps its threads
-    spinning for a while after the call. So ``modes`` makes no numpy BLAS
-    call large enough to thread, and scipy's band Cholesky ``dpbtrf``
-    runs alone. The BLAS-backed numpy calls of the three workloads are:
+    numpy and scipy each load their own OpenBLAS with its own thread
+    pool, and a pool that has threaded a call keeps its threads spinning
+    for a while after it. ``modes`` makes no numpy BLAS call large enough
+    to thread, so scipy's band Cholesky ``dpbtrf`` in
+    ``modal_frequencies`` has the cores to itself. The numpy BLAS calls
+    of the CLI workloads are:
 
-    - the Newton ``np.linalg.solve`` of ``stretch-test``, on the free
-      coordinates, which is needed and can wake numpy's pool;
+    - the dense Newton ``np.linalg.solve`` of ``stretch-test``, which is
+      needed and threads;
     - ``svd``, ``eigh``, ``inv`` and ``det`` on stacks of 3x3 matrices,
-      the 2x2 solves of ``compose`` and the batched element products
-      with ``G``, all of them too small to thread.
+      the 2x2 solves of ``compose`` and the batched element products of
+      ``assemble``, none of which threads.
     """
     with open(args.spec_a) as fh:
         model_a = build_material(json.load(fh))

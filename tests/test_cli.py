@@ -566,13 +566,7 @@ def test_modes_report_unchanged_by_dropping_zero_entries(capsys, tmp_path, monke
         json.dumps({"family": "stable_neo_hookean", "params": {"mu": mu, "lam": lam + mu}})
     )
     spec_b = tmp_path / "b.json"
-    spec_b.write_text(
-        json.dumps(
-            {"combine": {"mu_part": {"family": "st_venant_kirchhoff",
-                                     "params": {"mu": 1.0, "lam": 1.0}},
-                         "lambda_part": "j_minus_1_sq", "E": 1e5, "nu": 0.3, "alpha_mu": 2.0}}
-        )
-    )
+    spec_b.write_text(json.dumps(_BENCHMARK_B))
     argv = ("modes", "--spec-a", str(spec_a), "--spec-b", str(spec_b), "--n", "2", "--k", "6")
     code, out, _ = run(capsys, *argv)
     assert code == 0
