@@ -24,7 +24,6 @@ from .profiles import Profile, get_profile, list_profiles
 from .materials import (
     MaterialModel,
     catalog_families,
-    evaluate,
     list_catalog,
     make_material,
     sample_params,

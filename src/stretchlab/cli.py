@@ -42,7 +42,6 @@ from .materials import catalog_families, make_material, sample_params, stack
 from .specs import build_material
 from .fem import (
     BoundaryCondition,
-    ElementBasis,
     assemble,
     generate_mesh,
     modal_frequencies,
@@ -75,7 +74,7 @@ def _load_spec(args):
             spec["params"] = json.loads(args.params)
     else:
         raise InvalidParameterError("provide --spec <file> or --family [--params]")
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         spec["alpha"] = args.alpha
     return build_material(spec)
 
@@ -156,7 +155,7 @@ def stretch_curve(model, n, distances, slide=False):
     face stays at x = 0 and the right face is prescribed at x = d for
     each d of ``distances``, in order. Each solve starts from a
     continuation predictor over the converged path, which begins at the
-    rest shape (d = 1), and all solves share one ``ElementBasis``.
+    rest shape (d = 1), and all solves share the mesh's one ``basis``.
 
     Returns ``(rows, skipped)``: rows are (d, force) for the distances
     that converged, the force the x-reaction on the right face, positive
@@ -164,7 +163,6 @@ def stretch_curve(model, n, distances, slide=False):
     ConvergenceError or the InvertedElementError that stopped the solve.
     """
     mesh = generate_mesh("cube", n, size=1.0)
-    basis = ElementBasis(mesh)
     left = _face_vertices(mesh, 0, 0.0)
     right = _face_vertices(mesh, 0, 1.0)
     verts = np.concatenate([left, right])
@@ -181,7 +179,7 @@ def stretch_curve(model, n, distances, slide=False):
         bc = BoundaryCondition(vertices=verts, positions=pos, coords=coords)
         x0 = _initial_guess(mesh.tets, path, d)
         try:
-            result = solve_quasistatic(mesh, model, bc, x0=x0, basis=basis)
+            result = solve_quasistatic(mesh, model, bc, x0=x0)
         except (ConvergenceError, InvertedElementError) as err:
             skipped.append((d, err))
             continue
@@ -246,14 +244,13 @@ def cmd_modes(args):
     clamped = _face_vertices(mesh, 0, float(mesh.vertices[:, 0].min()), tol=1e-9)
     bc = BoundaryCondition(vertices=clamped, positions=mesh.vertices[clamped])
 
-    # one basis, so both stiffnesses share one block pattern
-    basis = ElementBasis(mesh)
-    Ka = assemble(mesh, model_a, basis=basis).stiffness.data
-    Kb = assemble(mesh, model_b, basis=basis).stiffness.data
+    # one mesh, so both stiffnesses share the block pattern of its basis
+    Ka = assemble(mesh, model_a).stiffness.data
+    Kb = assemble(mesh, model_b).stiffness.data
     out = {
         "stiffness_rel_frobenius_diff": rel_frobenius_diff(Ka, Kb),
-        "frequencies_a_hz": list(modal_frequencies(mesh, model_a, bc, args.k, basis=basis)),
-        "frequencies_b_hz": list(modal_frequencies(mesh, model_b, bc, args.k, basis=basis)),
+        "frequencies_a_hz": list(modal_frequencies(mesh, model_a, bc, args.k)),
+        "frequencies_b_hz": list(modal_frequencies(mesh, model_b, bc, args.k)),
     }
     _emit(out)
     return EXIT_OK
@@ -346,12 +343,11 @@ def cmd_genmesh(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_flags(p, alpha=True):
+def _add_spec_flags(p):
     p.add_argument("--spec", help="material spec JSON file")
     p.add_argument("--family", help="catalog family identifier")
     p.add_argument("--params", help="inline JSON parameter record")
-    if alpha:
-        p.add_argument("--alpha", type=float, help="nonlinearity exponent")
+    p.add_argument("--alpha", type=float, help="nonlinearity exponent")
 
 
 @functools.cache

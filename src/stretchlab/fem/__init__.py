@@ -2,7 +2,7 @@
 
 from .mesh import BoundaryCondition, TetMesh, generate_mesh, read_mesh, write_mesh
 from .assembly import BlockSparseMatrix, ElementBasis, SystemMatrices, assemble
-from .solver import QuasiStaticResult, SolveConfig, reaction_force, solve_quasistatic
+from .solver import QuasiStaticResult, reaction_force, solve_quasistatic
 from .modal import modal_frequencies
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "ElementBasis",
     "SystemMatrices",
     "assemble",
-    "SolveConfig",
     "QuasiStaticResult",
     "solve_quasistatic",
     "reaction_force",

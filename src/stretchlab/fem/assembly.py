@@ -20,7 +20,8 @@ one ``decompose`` per element, then one material evaluation on the
 (m, 3) stack of stretches, one (m, 9, 9) dP/dF build, the element forces
 -vol G^T vec(P) and stiffnesses vol G^T dPdF G as batched products, and a
 scatter with ``np.bincount`` over index tables that ``ElementBasis``
-computes once per mesh.
+computes once per mesh: every function here reads the mesh's own
+``basis``, built on first use.
 
 Without positions the configuration is the rest shape, where F = I for
 every element. Its decomposition is then exact, U = V = I and
@@ -91,26 +92,29 @@ class BlockSparseMatrix:
 
 @dataclass
 class SystemMatrices:
-    """Assembled internal force (N), tangent stiffness (N/m), lumped mass (kg).
+    """Assembled internal force (N), tangent stiffness (N/m) and energy (J).
 
     ``force`` is -grad of the total elastic energy over all coordinates;
     ``stiffness`` is the full symmetric (3n, 3n) Hessian as a
     ``BlockSparseMatrix`` with one 3x3 block per pair of vertices that
-    share a tet; ``mass`` is the diagonal of the lumped mass matrix, one
-    entry per coordinate.
+    share a tet. The lumped mass is rest geometry: ``mesh.basis.mass``.
     """
 
     force: np.ndarray
     stiffness: BlockSparseMatrix
-    mass: np.ndarray
     energy: float
 
 
 class ElementBasis:
-    """Precomputed rest-shape arrays for one mesh.
+    """Precomputed rest-shape arrays for one mesh, read as ``mesh.basis``.
+
+    It keeps the mesh's ``tets``, not the mesh: a mesh -> basis -> mesh
+    cycle would keep both alive until the cyclic garbage collector runs.
 
     Attributes
     ----------
+    tets : (m, 4) ndarray
+        The mesh's tet vertex indices.
     Bm : (m, 3, 3) ndarray
         Inverse rest edge matrices.
     G : (m, 9, 12) ndarray
@@ -128,8 +132,7 @@ class ElementBasis:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        tets = mesh.tets
+        self.tets = tets = mesh.tets
         m = mesh.num_tets
         nv = mesh.num_vertices
         self.volumes = mesh.rest_volumes
@@ -158,7 +161,7 @@ class ElementBasis:
     def deformation_gradients(self, positions):
         """F = Ds Bm of every element, (m, 3, 3), at vertex positions (n, 3)."""
         positions = np.asarray(positions, dtype=float)
-        return edge_matrices(positions, self.mesh.tets) @ self.Bm
+        return edge_matrices(positions, self.tets) @ self.Bm
 
     def element_svds(self, positions):
         """Rotation-variant SVDs of every element, stacked along a leading axis.
@@ -223,9 +226,9 @@ def stress_jacobian_from_svd(svd, grad, hess, project=False):
     return M + (np.swapaxes(modes, -1, -2) * eig[..., None, :]) @ modes
 
 
-def total_energy(mesh, material, positions, basis=None):
+def total_energy(mesh, material, positions):
     """Total elastic energy; raises InvertedElementError out of domain."""
-    basis = basis or ElementBasis(mesh)
+    basis = mesh.basis
     svd = basis.element_svds(positions)
     try:
         psi = material.energy(svd.sigma)
@@ -244,14 +247,13 @@ def lumped_mass(mesh):
 def free_dof_indices(mesh, bc):
     """Indices of unconstrained coordinates."""
     mask = np.ones(3 * mesh.num_vertices, dtype=bool)
-    if bc is not None:
-        for v, cm in zip(bc.vertices, bc.coords):
-            mask[3 * v : 3 * v + 3] &= ~cm
+    for v, cm in zip(bc.vertices, bc.coords):
+        mask[3 * v : 3 * v + 3] &= ~cm
     return np.nonzero(mask)[0]
 
 
-def assemble(mesh, material, positions=None, project=False, basis=None):
-    """Assemble force, tangent stiffness and lumped mass over all coordinates.
+def assemble(mesh, material, positions=None, project=False):
+    """Assemble force, tangent stiffness and energy over all coordinates.
 
     Parameters
     ----------
@@ -270,7 +272,7 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
         When an element leaves the material's validity domain; carries
         the lowest such element index.
     """
-    basis = basis or ElementBasis(mesh)
+    basis = mesh.basis
     ndof = 3 * mesh.num_vertices
     svd = basis.element_svds(positions)
     try:
@@ -295,8 +297,5 @@ def assemble(mesh, material, positions=None, project=False, basis=None):
     K = np.bincount(basis._stiffness_slot, weights=Ke.ravel(), minlength=9 * nb)
     K = BlockSparseMatrix(K.reshape(nb, 3, 3), basis.indices, basis.indptr, (ndof, ndof))
     return SystemMatrices(
-        force=force,
-        stiffness=K,
-        mass=basis.mass.copy(),
-        energy=float(vol @ np.broadcast_to(psi, vol.shape)),
+        force=force, stiffness=K, energy=float(vol @ np.broadcast_to(psi, vol.shape))
     )

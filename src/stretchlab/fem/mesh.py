@@ -15,6 +15,7 @@ File format (bit-exact, line oriented):
 Lines starting with ``#`` are ignored.
 """
 
+import functools
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -25,7 +26,12 @@ __all__ = ["TetMesh", "BoundaryCondition", "generate_mesh", "read_mesh", "write_
 
 @dataclass
 class TetMesh:
-    """Rest vertices (m), tet index quadruples (0-based) and density (kg/m^3)."""
+    """Rest vertices (m), tet index quadruples (0-based) and density (kg/m^3).
+
+    The mesh is rest geometry: its arrays are not changed after it is built,
+    and ``basis``, the ``ElementBasis`` of every assembly on it, is built on
+    first read and kept.
+    """
 
     vertices: np.ndarray
     tets: np.ndarray
@@ -65,6 +71,13 @@ class TetMesh:
 
     def total_volume(self):
         return float(np.sum(self.rest_volumes))
+
+    @functools.cached_property
+    def basis(self):
+        # imported here: assembly imports this module
+        from .assembly import ElementBasis
+
+        return ElementBasis(self)
 
 
 @dataclass(frozen=True)

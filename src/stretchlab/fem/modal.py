@@ -51,12 +51,11 @@ from .assembly import assemble, free_dof_indices
 __all__ = ["modal_frequencies"]
 
 
-def modal_frequencies(mesh, material, bc, k, basis=None):
+def modal_frequencies(mesh, material, bc, k):
     """The k lowest vibration frequencies in Hz, sorted ascending.
 
     The stiffness is assembled in the rest configuration; ``bc`` selects
     the clamped vertices (positions are ignored, the rest shape is used).
-    ``basis`` is the mesh's ``ElementBasis``, built here when omitted.
 
     Raises
     ------
@@ -75,13 +74,12 @@ def modal_frequencies(mesh, material, bc, k, basis=None):
     n = len(free)
     if not 1 <= k < n:
         raise ValueError(f"requested {k} modes; need 1 <= k < {n} free coordinates")
-    sys = assemble(mesh, material, basis=basis)
-    S = sys.stiffness
+    S = assemble(mesh, material).stiffness
     K = sparse.bsr_matrix((S.data, S.indices, S.indptr), shape=S.shape).tocsr()
     K.eliminate_zeros()
     K = K[free][:, free]
     perm = reverse_cuthill_mckee(K, symmetric_mode=True)
-    inv_sqrt_m = sparse.diags(1.0 / np.sqrt(sys.mass[free[perm]]))
+    inv_sqrt_m = sparse.diags(1.0 / np.sqrt(mesh.basis.mass[free[perm]]))
     A = inv_sqrt_m @ K[perm][:, perm] @ inv_sqrt_m  # P A P^T
     upper = sparse.triu(A, format="coo")
     b = int((upper.col - upper.row).max())

@@ -4,9 +4,11 @@ Each iteration assembles the force and the positive-semidefinite
 projected stiffness on the free coordinates, solves for a Newton step,
 and backtracks by halving whenever the step raises the energy or drives
 an element out of the material's domain. Convergence is declared when
-the free-coordinate force residual drops below a tolerance that scales
+the largest free-coordinate force drops below
+``RTOL * max(1, modulus_scale) * volume^(2/3)``, a tolerance that scales
 with the material stiffness and the mesh size, keeping the criterion
-machine independent.
+machine independent. A solve takes at most ``MAX_ITERS`` Newton
+iterations of at most ``MAX_HALVINGS`` step halvings each.
 """
 
 from dataclasses import dataclass, field
@@ -14,23 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceError, InvertedElementError
-from .assembly import ElementBasis, assemble, free_dof_indices, total_energy
+from .assembly import assemble, free_dof_indices, total_energy
 
-__all__ = ["SolveConfig", "QuasiStaticResult", "solve_quasistatic", "reaction_force"]
+__all__ = ["QuasiStaticResult", "solve_quasistatic", "reaction_force"]
 
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Newton settings.
-
-    ``tol`` is an absolute force tolerance in N when given; otherwise it
-    is ``rtol * modulus_scale * volume^(2/3)``.
-    """
-
-    tol: float = None
-    rtol: float = 1e-8
-    max_iters: int = 100
-    max_halvings: int = 40
+RTOL = 1e-8
+MAX_ITERS = 100
+MAX_HALVINGS = 40
 
 
 @dataclass
@@ -52,13 +44,7 @@ def reaction_force(result, vertex_set):
     return out
 
 
-def _force_tolerance(mesh, material, config):
-    if config.tol is not None:
-        return config.tol
-    return config.rtol * max(1.0, material.modulus_scale) * mesh.total_volume() ** (2.0 / 3.0)
-
-
-def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
+def solve_quasistatic(mesh, material, bc, x0=None):
     """Find static equilibrium under prescribed boundary positions.
 
     Parameters
@@ -68,35 +54,31 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
     bc : BoundaryCondition
         Nonempty constrained set; all three coordinates of each listed
         vertex are prescribed.
-    config : SolveConfig, optional
     x0 : (n, 3) ndarray, optional
         Warm-start positions (the prescribed values are re-applied).
-    basis : ElementBasis, optional
-        The mesh's basis, built here when omitted.
 
     Raises
     ------
     ConvergenceError
-        After ``max_iters`` Newton iterations without meeting the
-        tolerance; carries the residual history.
+        After ``MAX_ITERS`` Newton iterations without meeting the
+        tolerance, or when ``MAX_HALVINGS`` halvings find no step that
+        lowers the energy; carries the residual history.
     """
-    config = config or SolveConfig()
-    basis = basis or ElementBasis(mesh)
     free = free_dof_indices(mesh, bc)
-    tol = _force_tolerance(mesh, material, config)
+    tol = RTOL * max(1.0, material.modulus_scale) * mesh.total_volume() ** (2.0 / 3.0)
 
     x = np.array(mesh.vertices if x0 is None else x0, dtype=float)
     bc.apply(x)
 
     residuals = []
-    energy = total_energy(mesh, material, x, basis=basis)
-    for it in range(config.max_iters):
-        sys = assemble(mesh, material, x, project=True, basis=basis)
+    energy = total_energy(mesh, material, x)
+    for it in range(MAX_ITERS):
+        sys = assemble(mesh, material, x, project=True)
         r = sys.force[free]
         res = float(np.max(np.abs(r))) if len(r) else 0.0
         residuals.append(res)
         if res <= tol:
-            full = assemble(mesh, material, x, basis=basis)
+            full = assemble(mesh, material, x)
             return QuasiStaticResult(
                 positions=x, force=full.force, energy=full.energy, iterations=it, residuals=residuals
             )
@@ -109,12 +91,12 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
             step = np.linalg.solve(Kff + reg * np.eye(len(free)), r)
 
         t = 1.0
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             x_new = x.reshape(-1).copy()
             x_new[free] += t * step
             x_new = x_new.reshape(-1, 3)
             try:
-                e_new = total_energy(mesh, material, x_new, basis=basis)
+                e_new = total_energy(mesh, material, x_new)
             except InvertedElementError:
                 t *= 0.5
                 continue
@@ -129,7 +111,7 @@ def solve_quasistatic(mesh, material, bc, config=None, x0=None, basis=None):
             )
 
     raise ConvergenceError(
-        f"no convergence after {config.max_iters} iterations "
+        f"no convergence after {MAX_ITERS} iterations "
         f"(last residual {residuals[-1]:.3e}, tol {tol:.3e})",
         residual_history=residuals,
     )

@@ -27,6 +27,7 @@ their terms compare equal and the draws stack.
 """
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,7 +41,6 @@ from .terms import HillCoupling, Pair, Product, Separable, Volumetric
 __all__ = [
     "MaterialModel",
     "make_material",
-    "evaluate",
     "list_catalog",
     "catalog_families",
     "sample_params",
@@ -110,8 +110,12 @@ class MaterialModel:
         self._lame = lame
         groups = {}
         for coef, alpha, term in self.terms:
+            alpha = float(alpha)
+            # the filter divides by alpha^2: an overflow there is an input error
+            if not math.isfinite(alpha * alpha):
+                raise InvalidParameterError(f"{family}: exponent {alpha!r} has no finite square")
             c = coef if isinstance(coef, np.ndarray) else float(coef)
-            groups.setdefault(float(alpha), []).append((c, term))
+            groups.setdefault(alpha, []).append((c, term))
         self._groups = list(groups.items())
         self.structure = tuple([(alpha, term) for _, alpha, term in self.terms])
 
@@ -194,12 +198,6 @@ class MaterialModel:
 
     def __repr__(self):
         return f"MaterialModel({self.family!r}, {self.params})"
-
-
-def evaluate(model, s):
-    """Evaluate (energy, gradient, hessian) at a stretch triple."""
-    s = np.asarray(s, dtype=float)
-    return model.energy(s), model.gradient(s), model.hessian(s)
 
 
 def stack(models):

@@ -34,10 +34,6 @@ class RotationVariantSVD:
     V: np.ndarray
     sigma: np.ndarray
 
-    def reconstruct(self):
-        """Return U diag(sigma) V^T."""
-        return (self.U * self.sigma[..., None, :]) @ np.swapaxes(self.V, -1, -2)
-
 
 def decompose(F):
     """Rotation-variant SVD of a 3x3 deformation gradient.

@@ -33,31 +33,22 @@ _OTHER1, _OTHER2 = np.array([1, 0, 0]), np.array([2, 2, 1])
 _THIRD = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
 _PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 
-# The helpers below keep the one-triple case as cheap as plain 3-vector
-# code: numpy's per-call overhead dominates at that size.
-
 
 def _total(v):
-    """Sum over the last axis, left to right. On a stack this is what
-    ``v.sum(axis=-1)`` gives, at a fraction of its cost, which grows with
-    the rows; on one 3-vector Python's sum is several times cheaper still."""
-    return sum(v.tolist()) if v.ndim == 1 else (v[..., 0] + v[..., 1]) + v[..., 2]
-
-
-def _pick(x, idx):
-    """x[..., idx]; for one triple the plain index, which is several times cheaper."""
-    return x[idx] if x.ndim == 1 else x[..., idx]
+    """Sum over the last axis, left to right: what ``v.sum(axis=-1)`` gives,
+    at a fraction of its cost, which grows with the rows."""
+    return (v[..., 0] + v[..., 1]) + v[..., 2]
 
 
 def _volume(x):
-    """J = l_1 l_2 l_3 of each triple (for one triple a number, not a 0-d array)."""
-    return x[0] * x[1] * x[2] if x.ndim == 1 else x[..., 0] * x[..., 1] * x[..., 2]
+    """J = l_1 l_2 l_3 of each triple."""
+    return x[..., 0] * x[..., 1] * x[..., 2]
 
 
 def _lift(v, axes=1):
-    """A per-triple scalar (a number, or an array (...) for a stack) made to
-    broadcast against (..., 3) (axes=1) or (..., 3, 3) (axes=2)."""
-    return v[(Ellipsis,) + (None,) * axes] if isinstance(v, np.ndarray) else v
+    """A per-triple scalar (...) made to broadcast against (..., 3) (axes=1)
+    or (..., 3, 3) (axes=2)."""
+    return v[(Ellipsis,) + (None,) * axes]
 
 
 def _diag(v):
@@ -96,12 +87,12 @@ class Volumetric:
         return self.h.value(_volume(x))
 
     def grad(self, x):
-        return _lift(self.h.d1(_volume(x))) * (_pick(x, _OTHER1) * _pick(x, _OTHER2))
+        return _lift(self.h.d1(_volume(x))) * (x[..., _OTHER1] * x[..., _OTHER2])
 
     def hess(self, x):
         J = _lift(_volume(x), 2)
-        a = _pick(x, _OTHER1) * _pick(x, _OTHER2)
-        return self.h.d2(J) * _outer(a, a) + self.h.d1(J) * (_pick(x, _THIRD) * _OFF)
+        a = x[..., _OTHER1] * x[..., _OTHER2]
+        return self.h.d2(J) * _outer(a, a) + self.h.d1(J) * (x[..., _THIRD] * _OFF)
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ class Pair:
     g: Profile
 
     def value(self, x):
-        return _total(self.g.value(_pick(x, _PAIR_I) * _pick(x, _PAIR_J)))
+        return _total(self.g.value(x[..., _PAIR_I] * x[..., _PAIR_J]))
 
     def grad(self, x):
         return ((self.g.d1(_outer(x, x)) * _OFF) @ x[..., None])[..., 0]

@@ -17,7 +17,7 @@ from test_golden import ENTRIES, build
 import stretchlab.fem.assembly
 from stretchlab.errors import DomainViolationError, InvertedElementError
 from stretchlab.fem import assemble, generate_mesh
-from stretchlab.fem.assembly import ElementBasis, stress_jacobian_from_svd, total_energy
+from stretchlab.fem.assembly import stress_jacobian_from_svd, total_energy
 from stretchlab.filtering import filter_nonlinearity
 from stretchlab.materials import make_material, sample_params
 from stretchlab.specs import build_material
@@ -132,7 +132,7 @@ def reference_assemble(mesh, material, positions, project=False):
 def dense_bincount_stiffness(mesh, material, positions, project=False):
     """The dense (3n, 3n) K: batched element stiffnesses summed in element
     order by one ``np.bincount`` over all (3n)^2 positions."""
-    basis = ElementBasis(mesh)
+    basis = mesh.basis
     ndof = 3 * mesh.num_vertices
     svd = basis.element_svds(positions)
     g, H = material.gradient(svd.sigma), material.hessian(svd.sigma)
@@ -219,7 +219,7 @@ def test_batched_assembly_matches_element_loop(name, state, project):
     dense = sys.stiffness.toarray()
     assert _close(dense, K)
     assert np.array_equal(dense, dense_bincount_stiffness(MESH, material, x, project=project))
-    assert _close(sys.mass, mass)
+    assert _close(MESH.basis.mass, mass)
     assert _close(sys.energy, energy)
     assert _close(total_energy(MESH, material, x), reference_total_energy(MESH, material, x))
 
@@ -258,10 +258,9 @@ def _no_svd(F):
 def test_rest_assembly_matches_rest_positions_without_svd(name, kind, n, project, monkeypatch):
     material = REST_MATERIALS[name]
     mesh = generate_mesh(kind, n)
-    basis = ElementBasis(mesh)
-    ref = assemble(mesh, material, mesh.vertices, project=project, basis=basis)
+    ref = assemble(mesh, material, mesh.vertices, project=project)
     monkeypatch.setattr(stretchlab.fem.assembly, "decompose", _no_svd)
-    sys = assemble(mesh, material, project=project, basis=basis)
+    sys = assemble(mesh, material, project=project)
     assert _close(sys.force, ref.force)
     assert _close(sys.stiffness.toarray(), ref.stiffness.toarray())
     assert _close(sys.energy, ref.energy)
@@ -287,7 +286,7 @@ def test_block_pattern(kind, n):
 
 def test_inverted_state_has_a_negative_stretch():
     x = _state("inverted")
-    svd = ElementBasis(MESH).element_svds(x)
+    svd = MESH.basis.element_svds(x)
     assert np.min(svd.sigma[:, 2]) < 0.0
 
 

@@ -96,6 +96,24 @@ def test_lame_with_spec_file_and_alpha(capsys, tmp_path):
     assert data["mu_lame"] == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [-1e308, 1e200, float("nan")])
+def test_lame_rejects_an_exponent_whose_square_overflows(capsys, alpha):
+    params = json.dumps({"mu": 0.5, "lam": 1, "alpha": alpha})
+    code, out, err = run(capsys, "lame", "--family", "seth_hill", "--params", params)
+    assert code == 2 and not out
+    assert "exponent" in err and "Traceback" not in err
+
+
+def test_lame_reports_a_moduli_error_with_null_moduli(capsys):
+    # one-signed Ogden terms with mu_lame < 0: the Lame pair exists, E and nu do not
+    code, out, _ = run(capsys, "lame", "--family", "ogden", "--params", '{"terms": [[-1, 2], [1, -2]]}')
+    assert code == 0
+    data = json.loads(out)
+    assert data["E"] is None and data["nu"] is None
+    assert data["moduli_error"] == "mu_lame must be positive, got -2.0"
+    assert data["mu_lame"] == -2.0
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "lame", "--family", "no_such_family")
     assert code == 2
@@ -347,7 +365,8 @@ def test_skipped_distance_exits_3_and_keeps_the_other_rows(capsys, tmp_path, mon
     assert len(lines) == 1 and "distance 1.1 skipped" in lines[0]
 
 
-def test_stretch_curve_builds_one_basis(monkeypatch):
+def count_bases(monkeypatch):
+    """Patch ``ElementBasis.__init__`` to log the mesh of every basis built."""
     built = []
     init = ElementBasis.__init__
 
@@ -356,9 +375,24 @@ def test_stretch_curve_builds_one_basis(monkeypatch):
         init(self, mesh)
 
     monkeypatch.setattr(ElementBasis, "__init__", counting_init)
+    return built
+
+
+def test_stretch_curve_builds_one_basis(monkeypatch):
+    built = count_bases(monkeypatch)
     model = make_material("stable_neo_hookean", {"mu": 1e5, "lam": 4e5})
     rows, skipped = stretch_curve(model, 2, [0.9, 1.1, 1.2, 1.3])
     assert len(rows) == 4 and not skipped
+    assert len(built) == 1
+
+
+def test_modes_builds_one_basis(capsys, tmp_path, monkeypatch):
+    built = count_bases(monkeypatch)
+    spec = tmp_path / "b.json"
+    spec.write_text(json.dumps(_BENCHMARK_B))
+    code, _, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
+    assert code == 0, err
+    # two rest assemblies and two modal solves, all on one basis
     assert len(built) == 1
 
 
@@ -517,8 +551,7 @@ def test_rel_frobenius_diff_matches_norm(E, nu, equal):
     a = make_material("stable_neo_hookean", {"mu": mu, "lam": lam + mu})
     b = stretchlab.specs.build_material({"combine": dict(_BENCHMARK_B["combine"], E=E, nu=nu)})
     mesh = generate_mesh("beam", 2)
-    basis = ElementBasis(mesh)
-    Ka, Kb = (assemble(mesh, m, basis=basis).stiffness.data for m in (a, b))
+    Ka, Kb = (assemble(mesh, m).stiffness.data for m in (a, b))
     ref = np.linalg.norm(Ka - Kb) / np.linalg.norm(Ka)
     assert (ref == 0.0) == equal
     assert rel_frobenius_diff(Ka, Kb) == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -608,8 +641,7 @@ def test_modes_unchanged_by_dropping_the_zero_volumetric_entry(capsys, tmp_path,
     assert len(old.terms) == len(new.terms) + 1
     assert code == ref_code == 0 and out == ref_out
     mesh = generate_mesh("beam", 2)
-    basis = ElementBasis(mesh)
-    K_new, K_old = (assemble(mesh, m, basis=basis).stiffness.data for m in (new, old))
+    K_new, K_old = (assemble(mesh, m).stiffness.data for m in (new, old))
     assert K_new.tobytes() == K_old.tobytes()
 
 

@@ -1,9 +1,19 @@
-"""Mesh generation, validation and file round trips."""
+"""Mesh generation, validation, file round trips and the element basis."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from stretchlab.fem import BoundaryCondition, TetMesh, generate_mesh, read_mesh, write_mesh
+from stretchlab.fem import (
+    BoundaryCondition,
+    ElementBasis,
+    TetMesh,
+    generate_mesh,
+    read_mesh,
+    write_mesh,
+)
 from stretchlab.fem.mesh import _CELL_TETS, _connected
 
 
@@ -62,6 +72,28 @@ def test_mesh_validation():
     disconnected = np.vstack([good, good + 10.0])
     with pytest.raises(ValueError):
         TetMesh(vertices=disconnected, tets=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+
+
+def test_basis_is_built_on_first_read_and_kept():
+    mesh = generate_mesh("cube", 1)
+    assert "basis" not in vars(mesh)
+    basis = mesh.basis
+    assert isinstance(basis, ElementBasis) and mesh.basis is basis
+    assert basis.tets is mesh.tets and np.array_equal(basis.volumes, mesh.rest_volumes)
+
+
+def test_basis_keeps_no_reference_to_its_mesh():
+    # a mesh -> basis -> mesh cycle would outlive ``del`` until a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mesh = generate_mesh("beam", 2)
+        mesh_ref, basis_ref = weakref.ref(mesh), weakref.ref(mesh.basis)
+        del mesh
+        assert mesh_ref() is None and basis_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_file_round_trip(tmp_path):

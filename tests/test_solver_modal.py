@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import stretchlab.fem.assembly
+import stretchlab.fem.solver
 from stretchlab.cli import main
-from stretchlab.errors import ConvergenceError, RestInstabilityError
+from stretchlab.errors import ConvergenceError, InvertedElementError, RestInstabilityError
 from stretchlab.fem import (
     BoundaryCondition,
-    SolveConfig,
     assemble,
     generate_mesh,
     modal_frequencies,
@@ -121,13 +121,72 @@ def test_warm_start_reduces_iterations():
     assert warm.iterations == 0
 
 
-def test_convergence_error_carries_history():
+def test_convergence_error_carries_history(monkeypatch):
     mesh = generate_mesh("cube", 2)
     model = make_material(*SNH)
     bc, _, _ = clamp_both_x_faces(mesh, 1.8)
-    with pytest.raises(ConvergenceError) as err:
-        solve_quasistatic(mesh, model, bc, config=SolveConfig(max_iters=1))
-    assert len(err.value.residual_history) >= 1
+    monkeypatch.setattr(stretchlab.fem.solver, "MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations") as err:
+        solve_quasistatic(mesh, model, bc)
+    assert len(err.value.residual_history) == 1
+
+
+def trial_outcomes(monkeypatch):
+    """Patch the solver's ``total_energy`` to log each call: its energy, or
+    "inverted" for one that raised InvertedElementError."""
+    log = []
+    total_energy = stretchlab.fem.solver.total_energy
+
+    def logged(mesh, material, positions):
+        try:
+            log.append(total_energy(mesh, material, positions))
+        except InvertedElementError:
+            log.append("inverted")
+            raise
+        return log[-1]
+
+    monkeypatch.setattr(stretchlab.fem.solver, "total_energy", logged)
+    return log
+
+
+# a pull to three times the length from rest: the first Newton steps are
+# long enough that the line search must halve them
+LINE_SEARCH_PARAMS = {"mu": 1.0e5, "lam": 4.0e5}
+
+
+def test_line_search_halves_a_step_that_raises_the_energy(monkeypatch):
+    mesh = generate_mesh("cube", 2)
+    bc, _, right = clamp_both_x_faces(mesh, 3.0)
+    log = trial_outcomes(monkeypatch)
+    result = solve_quasistatic(mesh, make_material("hencky", LINE_SEARCH_PARAMS), bc)
+    # one call at the start, one per accepted step, one per halving
+    assert len(log) == 1 + result.iterations + 1
+    assert "inverted" not in log
+    # the rejected trial is the one call whose energy exceeds its predecessor's
+    rises = [i for i in range(1, len(log)) if log[i] > log[i - 1]]
+    assert len(rises) == 1
+    assert reaction_force(result, right)[0] < 0.0
+
+
+def test_line_search_halves_a_step_that_inverts_an_element(monkeypatch):
+    mesh = generate_mesh("cube", 2)
+    bc, _, right = clamp_both_x_faces(mesh, 3.0)
+    log = trial_outcomes(monkeypatch)
+    result = solve_quasistatic(mesh, make_material("neo_hookean", LINE_SEARCH_PARAMS), bc)
+    assert len(log) == 1 + result.iterations + 1
+    assert log.count("inverted") == 1
+    accepted = [e for e in log if e != "inverted"]
+    assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+    assert reaction_force(result, right)[0] < 0.0
+
+
+def test_line_search_failure_raises_with_history(monkeypatch):
+    mesh = generate_mesh("cube", 2)
+    bc, _, _ = clamp_both_x_faces(mesh, 3.0)
+    monkeypatch.setattr(stretchlab.fem.solver, "MAX_HALVINGS", 0)
+    with pytest.raises(ConvergenceError, match="line search failed at iteration 0") as err:
+        solve_quasistatic(mesh, make_material("hencky", LINE_SEARCH_PARAMS), bc)
+    assert len(err.value.residual_history) == 1 and err.value.residual_history[0] > 0.0
 
 
 def test_modal_frequencies_sorted_positive():
@@ -185,9 +244,9 @@ def clamp_left_face(mesh, count=None):
 def dense_frequencies(mesh, material, bc, k):
     """Oracle: a dense eigvalsh of M^-1/2 K M^-1/2 over all free coordinates."""
     free = free_dof_indices(mesh, bc)
-    sys = assemble(mesh, material)
-    inv_sqrt_m = 1.0 / np.sqrt(sys.mass[free])
-    A = sys.stiffness.toarray()[np.ix_(free, free)] * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+    inv_sqrt_m = 1.0 / np.sqrt(mesh.basis.mass[free])
+    K = assemble(mesh, material).stiffness.toarray()
+    A = K[np.ix_(free, free)] * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
     w = np.linalg.eigvalsh(0.5 * (A + A.T))[:k]
     return np.sqrt(w) / (2.0 * np.pi)
 
