@@ -24,13 +24,13 @@ import numpy as np
 __all__ = ["TetMesh", "BoundaryCondition", "generate_mesh", "read_mesh", "write_mesh"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TetMesh:
     """Rest vertices (m), tet index quadruples (0-based) and density (kg/m^3).
 
-    The mesh is rest geometry: its arrays are not changed after it is built,
-    and ``basis``, the ``ElementBasis`` of every assembly on it, is built on
-    first read and kept.
+    The mesh is rest geometry, frozen once built, so ``basis``, the
+    ``ElementBasis`` of every assembly on it, is built on first read and
+    kept.
     """
 
     vertices: np.ndarray
@@ -39,8 +39,8 @@ class TetMesh:
     rest_volumes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.tets = np.asarray(self.tets, dtype=int)
+        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
+        object.__setattr__(self, "tets", np.asarray(self.tets, dtype=int))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError(f"vertices must be (n, 3), got {self.vertices.shape}")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
@@ -54,7 +54,8 @@ class TetMesh:
         n = len(self.vertices)
         if self.tets.size and (self.tets.min() < 0 or self.tets.max() >= n):
             raise ValueError("tet indices out of range")
-        self.rest_volumes = np.linalg.det(edge_matrices(self.vertices, self.tets)) / 6.0
+        volumes = np.linalg.det(edge_matrices(self.vertices, self.tets)) / 6.0
+        object.__setattr__(self, "rest_volumes", volumes)
         if np.any(self.rest_volumes <= 0.0):
             bad = int(np.argmin(self.rest_volumes))
             raise ValueError(f"non-positive rest volume in element {bad}")

@@ -52,8 +52,8 @@ def solve_quasistatic(mesh, material, bc, x0=None):
     mesh : TetMesh
     material : MaterialModel
     bc : BoundaryCondition
-        Nonempty constrained set; all three coordinates of each listed
-        vertex are prescribed.
+        Nonempty constrained set; the coordinates its ``coords`` mask
+        selects are prescribed.
     x0 : (n, 3) ndarray, optional
         Warm-start positions (the prescribed values are re-applied).
 

@@ -1,5 +1,6 @@
 """Mesh generation, validation, file round trips and the element basis."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -80,6 +81,9 @@ def test_basis_is_built_on_first_read_and_kept():
     basis = mesh.basis
     assert isinstance(basis, ElementBasis) and mesh.basis is basis
     assert basis.tets is mesh.tets and np.array_equal(basis.volumes, mesh.rest_volumes)
+    # the basis holds the lumped mass of this density: the mesh is frozen
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.density = 4000.0
 
 
 def test_basis_keeps_no_reference_to_its_mesh():
