@@ -20,7 +20,7 @@ from .errors import (
     UnreachableTargetError,
 )
 from .stretch_core import RotationVariantSVD, assemble_pk1, decompose
-from .profiles import Profile, get_profile, list_profiles
+from .profiles import Profile, get_profile
 from .materials import (
     MaterialModel,
     catalog_families,

@@ -96,14 +96,16 @@ def cmd_lame(args):
         "mu_lame": chosen.mu_lame,
         "method_agreement": agreement,
     }
+    bad = [key for key, value in out.items() if not math.isfinite(value)]
+    if bad:
+        raise InvalidParameterError(f"{model.family}: {', '.join(bad)} not finite: {out}")
     try:
         moduli = lame_to_moduli(chosen)
-        out["E"] = moduli.E
-        out["nu"] = moduli.nu
+        out["E"], out["nu"] = moduli.E, moduli.nu
     except InvalidParameterError as err:
-        out["E"] = None
-        out["nu"] = None
-        out["moduli_error"] = str(err)
+        if chosen.mu_lame > 0.0 and chosen.lambda_lame + chosen.mu_lame != 0.0:
+            raise  # E and nu exist, but overflow a float
+        out.update(E=None, nu=None, moduli_error=str(err))
     _emit(out)
     return EXIT_OK
 
@@ -123,8 +125,11 @@ def cmd_normalize(args):
     return EXIT_OK
 
 
-def _face_vertices(mesh, axis, value, tol=1e-9):
-    return np.nonzero(np.abs(mesh.vertices[:, axis] - value) < tol)[0]
+_FACE_TOL = 1e-9  # m, the largest distance of a face vertex from its plane
+
+
+def _face_vertices(mesh, axis, value):
+    return np.nonzero(np.abs(mesh.vertices[:, axis] - value) < _FACE_TOL)[0]
 
 
 def _initial_guess(tets, path, d):
@@ -241,7 +246,7 @@ def cmd_modes(args):
     with open(args.spec_b) as fh:
         model_b = build_material(json.load(fh))
     mesh = read_mesh(args.mesh) if args.mesh else generate_mesh("beam", args.n)
-    clamped = _face_vertices(mesh, 0, float(mesh.vertices[:, 0].min()), tol=1e-9)
+    clamped = _face_vertices(mesh, 0, float(mesh.vertices[:, 0].min()))
     bc = BoundaryCondition(vertices=clamped, positions=mesh.vertices[clamped])
 
     # one mesh, so both stiffnesses share the block pattern of its basis
@@ -259,43 +264,45 @@ def cmd_modes(args):
 # the identity first, then the five other orderings of a triple
 _PERMUTATIONS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
 _STENCIL = len(FD_REST_POINTS)
+# per family: parameter draws, stretch triples per draw, fd Lame closure bound
+_DRAWS, _PER_DRAW, _LAME_RTOL = 10, 3, 1e-5
 
 
-def verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
+def verify_table(seed=0):
     """Per-family verification report.
 
-    Checks finite-difference Lame extraction against the closed forms on
-    random valid parameter draws, rest stability on rest-stable-region
-    draws, and permutation symmetry of the energy. Each family's draws
-    are made first, in rng-stream order, then evaluated. Draws that share
-    a term structure differ only in their coefficients, so
-    ``materials.stack`` makes each such group one model with coefficient
-    columns: one energy call per group on the fd rest stencil followed by
-    each draw's triples under all six orderings, and one rest-gradient
-    call per group of rest-stable draws. A group of one takes the same
-    path. The closure and symmetry errors of all families are then one
-    array expression each. The reports equal those of per-draw
+    Checks finite-difference Lame extraction against the closed forms
+    (``_LAME_RTOL`` relative) on ``_DRAWS`` random valid parameter draws,
+    rest stability on as many rest-stable-region draws, and permutation
+    symmetry of the energy on ``_PER_DRAW`` triples per draw. Each
+    family's draws are made first, in rng-stream order, then evaluated.
+    Draws that share a term structure differ only in their coefficients,
+    so ``materials.stack`` makes each such group one model with
+    coefficient columns: one energy call per group on the fd rest stencil
+    followed by each draw's triples under all six orderings, and one
+    rest-gradient call per group of rest-stable draws. A group of one
+    takes the same path. The closure and symmetry errors of all families
+    are then one array expression each. The reports equal those of per-draw
     evaluation to the last bit.
     """
     rng = np.random.default_rng(seed)
-    per_draw = triples // draws + 1
     families = catalog_families()
-    points = np.empty((draws, _STENCIL + 6 * per_draw, 3))
+    points = np.empty((_DRAWS, _STENCIL + 6 * _PER_DRAW, 3))
     points[:, :_STENCIL] = FD_REST_POINTS
-    e = np.empty((len(families), draws, points.shape[1]))
-    closed = np.empty((len(families), draws, 2))
-    floor = np.empty((len(families), draws))
+    e = np.empty((len(families), _DRAWS, points.shape[1]))
+    closed = np.empty((len(families), _DRAWS, 2))
+    floor = np.empty((len(families), _DRAWS))
     stable = []
     for f, family in enumerate(families):
         models, stable_models, stretches = [], [], []
-        for _ in range(draws):
+        for _ in range(_DRAWS):
             models.append(make_material(family, sample_params(family, rng)))
             # uniform on [0.5, 2) below, as rng.uniform draws it: 0.5 + 1.5 u
-            stretches.append(rng.random((per_draw, 3)))
+            stretches.append(rng.random((_PER_DRAW, 3)))
             stable_params = sample_params(family, rng, rest_stable=True)
             stable_models.append(make_material(family, stable_params))
         stretches = 0.5 + 1.5 * np.array(stretches)
-        points[:, _STENCIL:] = stretches[:, :, _PERMUTATIONS].reshape(draws, -1, 3)
+        points[:, _STENCIL:] = stretches[:, :, _PERMUTATIONS].reshape(_DRAWS, -1, 3)
         for idx, group in stack(models):
             e[f, idx] = group.energy(points[idx])
         closed[f] = [model.lame_closed_form() for model in models]
@@ -308,14 +315,14 @@ def verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
     scale = np.maximum(np.abs(closed).max(axis=-1), 1e-30)
     # np.max keeps a NaN error, where Python's max would drop it
     closure = np.max(np.abs(fd - closed) / scale[..., None], axis=(1, 2))
-    e = e[..., _STENCIL:].reshape(len(families), draws, per_draw, 6)
+    e = e[..., _STENCIL:].reshape(len(families), _DRAWS, _PER_DRAW, 6)
     ref = np.maximum(np.abs(e[..., :1]), floor[..., None, None])
     sym = np.max(np.abs(e[..., 1:] - e[..., :1]) / ref, axis=(1, 2, 3))
     report = {}
     for family, closure_err, sym_err, family_stable in zip(
         families, closure.tolist(), sym.tolist(), stable
     ):
-        closure_ok, sym_ok = closure_err <= lame_rtol, sym_err <= 1e-12
+        closure_ok, sym_ok = closure_err <= _LAME_RTOL, sym_err <= 1e-12
         report[family] = {
             "lame_closure_max_rel_err": closure_err,
             "lame_closure_pass": closure_ok,

@@ -210,7 +210,7 @@ def unit_part(model, kind):
     return EnergyPart(kind, LinearCombination([(1.0 / own, model)]))
 
 
-def augment_volumetric(base, target, vol_kind="j_minus_1_sq"):
+def augment_volumetric(base, target):
     """Combine the unit mu-part of a zero-lambda energy (ARAP, Ogden, ...)
-    with a Neo-Hookean lambda-part at the target Lame parameters."""
-    return combine(unit_part(base, "mu"), volumetric_part(vol_kind), target)
+    with the (J-1)^2/2 lambda-part at the target Lame parameters."""
+    return combine(unit_part(base, "mu"), volumetric_part(), target)

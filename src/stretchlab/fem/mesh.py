@@ -28,7 +28,9 @@ __all__ = ["TetMesh", "BoundaryCondition", "generate_mesh", "read_mesh", "write_
 class TetMesh:
     """Rest vertices (m), tet index quadruples (0-based) and density (kg/m^3).
 
-    The mesh is rest geometry, frozen once built, so ``basis``, the
+    ``generate_mesh`` and ``read_mesh`` give the default density; another
+    is set here, as in ``TetMesh(mesh.vertices, mesh.tets, density)``. The
+    mesh is rest geometry, frozen once built, so ``basis``, the
     ``ElementBasis`` of every assembly on it, is built on first read and
     kept.
     """
@@ -161,7 +163,7 @@ def _connected(n, tets):
         labels = new
 
 
-def _grid(cells, extent, density):
+def _grid(cells, extent):
     """Vertices in (i, j, k) row-major order; six tets per cell, cells in
     the same order."""
     nx, ny, nz = cells
@@ -171,11 +173,11 @@ def _grid(cells, extent, density):
     corners = np.array(_CELL_TETS)  # (6, 4, 3) cell-corner offsets
     offsets = ids[corners[..., 0], corners[..., 1], corners[..., 2]]
     tets = ids[:nx, :ny, :nz].reshape(-1, 1, 1) + offsets
-    return TetMesh(vertices=verts, tets=tets.reshape(-1, 4), density=density)
+    return TetMesh(vertices=verts, tets=tets.reshape(-1, 4))
 
 
-def generate_mesh(kind, resolution, size=1.0, density=1000.0):
-    """Generate a cube or a 4:1:1 beam.
+def generate_mesh(kind, resolution, size=1.0):
+    """Generate a cube or a 4:1:1 beam of the default density.
 
     Parameters
     ----------
@@ -192,13 +194,9 @@ def generate_mesh(kind, resolution, size=1.0, density=1000.0):
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if kind == "cube":
-        return _grid((resolution,) * 3, (size,) * 3, density)
+        return _grid((resolution,) * 3, (size,) * 3)
     if kind == "beam":
-        return _grid(
-            (4 * resolution, resolution, resolution),
-            (size, size / 4.0, size / 4.0),
-            density,
-        )
+        return _grid((4 * resolution, resolution, resolution), (size, size / 4.0, size / 4.0))
     raise ValueError(f"unknown mesh kind '{kind}'")
 
 
@@ -214,8 +212,8 @@ def write_mesh(mesh, path):
             fh.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")
 
 
-def read_mesh(path, density=1000.0):
-    """Parse the ASCII ``tetmesh v1`` format.
+def read_mesh(path):
+    """Parse the ASCII ``tetmesh v1`` format into a mesh of the default density.
 
     Raises ValueError naming the file for a missing header or section, a
     section cut short, a row with the wrong number of fields or a field
@@ -228,7 +226,7 @@ def read_mesh(path, density=1000.0):
     verts, pos = _read_section(path, lines, 1, "vertices", 3, float)
     tets, _ = _read_section(path, lines, pos, "tets", 4, int)
     try:
-        return TetMesh(vertices=np.array(verts), tets=np.array(tets, dtype=int), density=density)
+        return TetMesh(vertices=np.array(verts), tets=np.array(tets, dtype=int))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

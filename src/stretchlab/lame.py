@@ -133,7 +133,7 @@ def lame_from_hessian(H):
 
 
 def lame_to_moduli(lame):
-    """Convert (lambda_lame, mu_lame) to (E, nu)."""
+    """Convert (lambda_lame, mu_lame) to (E, nu); both must come out finite."""
     lam, mu = lame.lambda_lame, lame.mu_lame
     if mu <= 0.0:
         raise InvalidParameterError(f"mu_lame must be positive, got {mu}")
@@ -142,6 +142,8 @@ def lame_to_moduli(lame):
         raise InvalidParameterError("degenerate denominator lambda_lame + mu_lame = 0")
     E = mu * (3.0 * lam + 2.0 * mu) / den
     nu = lam / (2.0 * den)
+    if not (math.isfinite(E) and math.isfinite(nu)):
+        raise InvalidParameterError(f"E and nu must be finite, got E = {E}, nu = {nu} from {lame}")
     return IsotropicModuli(E, nu)
 
 
@@ -161,11 +163,11 @@ def moduli_to_lame(moduli):
     return LameParams(lam, mu)
 
 
-def pk1_linearize(model, method="analytic"):
+def pk1_linearize(model):
     """The Linear Corotational material matching a model at rest.
 
     Its energy is the quadratic Taylor expansion of the input in stretch
     space; applying this twice is a fixed point.
     """
-    lame = extract_lame(model, method=method)
+    lame = extract_lame(model)
     return make_material("linear_corotational", {"mu": lame.mu_lame, "lam": lame.lambda_lame})

@@ -312,6 +312,8 @@ def _ogden(p):
     terms = [(float(m), float(a)) for m, a in p["terms"]]
     if not terms:
         raise InvalidParameterError("terms must be a nonempty list")
+    if not np.isfinite(terms).all():
+        raise InvalidParameterError(f"terms must be finite, got {p['terms']}")
     if any(a == 0.0 for _, a in terms):
         raise InvalidParameterError("exponents must be nonzero")
     if any(m == 0.0 for m, _ in terms):
@@ -628,7 +630,7 @@ def make_material(family, params=None):
     ------
     InvalidParameterError
         For an unknown family, a record that misses or adds keys, or a
-        value that is out of range or of the wrong type.
+        value that is NaN or infinite, out of range or of the wrong type.
     """
     row = _row(family)
     params = _record(family, params, "parameters")
@@ -636,6 +638,9 @@ def make_material(family, params=None):
         raise InvalidParameterError(
             f"{family}: expected parameters {sorted(row.schema)}, got {sorted(params)}"
         )
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidParameterError(f"{family}: {key} must be finite, got {value}")
     try:
         for key in row.positive:
             if float(params[key]) <= 0.0:
@@ -649,8 +654,9 @@ def make_material(family, params=None):
         lame = row.lame(resolved)
     except InvalidParameterError as err:
         raise InvalidParameterError(f"{family}: {err}") from None
-    except (TypeError, ValueError) as err:
-        # a value of the wrong type or shape, such as a list or null for a number
+    except (TypeError, ValueError, OverflowError) as err:
+        # a value of the wrong type or shape, such as a list or null for a
+        # number, or an integer too large for a float
         raise InvalidParameterError(f"{family}: malformed parameters {params}: {err}") from None
     return MaterialModel(family, params, row.domain, terms, scale, lame)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["Profile", "get_profile", "half_square", "list_profiles"]
+__all__ = ["Profile", "get_profile", "half_square"]
 
 _CONTRACT_TOL = 1e-10
 
@@ -172,16 +172,3 @@ def _parse_float(full, token):
         return float(token)
     except ValueError:
         raise InvalidParameterError(f"malformed profile name '{full}'") from None
-
-
-def list_profiles():
-    """Names of the non-parameterized registry entries plus templates."""
-    return [
-        "log",
-        "power:<beta>",
-        "log_sq",
-        "j_minus_1_sq",
-        "stretch_well",
-        "power_well:<beta>",
-        "scaled:<c>:<name>",
-    ]

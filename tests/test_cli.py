@@ -101,7 +101,46 @@ def test_lame_rejects_an_exponent_whose_square_overflows(capsys, alpha):
     params = json.dumps({"mu": 0.5, "lam": 1, "alpha": alpha})
     code, out, err = run(capsys, "lame", "--family", "seth_hill", "--params", params)
     assert code == 2 and not out
-    assert "exponent" in err and "Traceback" not in err
+    # make_material rejects a NaN parameter before the exponent is checked
+    reason = "alpha must be finite" if alpha != alpha else "exponent"
+    assert reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mu", [1e300, 1e308])
+def test_lame_exits_2_on_a_result_that_is_not_finite(capsys, mu):
+    # the Lame pair (0, mu) is finite, but E = mu (3 lam + 2 mu) / (lam + mu)
+    # overflows; at 1e308 the fd extraction, and so method_agreement, does too
+    # (numpy warns of that overflow, and the warning is not under test)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(
+            capsys, "lame", "--family", "symmetric_arap", "--params", json.dumps({"mu": mu})
+        )
+    assert code == 2 and not out
+    assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "family, key, params",
+    [
+        ("hencky", "mu", lambda v: {"mu": v, "lam": 1.0}),
+        ("ogden", "terms", lambda v: {"terms": [[v, 2.0]]}),
+        ("mooney_rivlin", "c2", lambda v: {"c1": 1.0, "c2": v}),
+    ],
+    ids=["hencky", "ogden", "mooney_rivlin"],
+)
+def test_lame_rejects_a_non_finite_parameter(capsys, family, key, params, value):
+    code, out, err = run(capsys, "lame", "--family", family, "--params", json.dumps(params(value)))
+    assert code == 2 and not out
+    assert f"error: {family}: {key} must be finite" in err and "Traceback" not in err
+
+
+def test_lame_rejects_an_integer_too_large_for_a_float(capsys):
+    params = '{"mu": 1' + "0" * 400 + ', "lam": 1}'
+    code, out, err = run(capsys, "lame", "--family", "hencky", "--params", params)
+    assert code == 2 and not out
+    assert "too large" in err and "Traceback" not in err
 
 
 def test_lame_reports_a_moduli_error_with_null_moduli(capsys):
@@ -661,8 +700,11 @@ def test_verify_table_seeds_pass(seed):
     assert ok, {f: e for f, e in report.items() if not e["pass"]}
 
 
-def two_call_verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
-    """Oracle: verify_table with one fd extraction and one symmetry call per draw."""
+def two_call_verify_table(seed):
+    """Oracle: verify_table with one fd extraction and one symmetry call per draw.
+
+    Its settings are verify_table's: 10 draws, 3 triples per draw, 1e-5 closure bound.
+    """
     permutations = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     rng = np.random.default_rng(seed)
     report = {}
@@ -671,7 +713,7 @@ def two_call_verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
         closure_err = 0.0
         stable = True
         sym_err = 0.0
-        for _ in range(draws):
+        for _ in range(10):
             model = make_material(family, sample_params(family, rng))
             closed = model.lame_closed_form()
             fd = extract_lame(model, method="fd", allow_rest_stress=True)
@@ -680,7 +722,7 @@ def two_call_verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
                 closure_err,
                 max(abs(fd.lambda_lame - closed[0]), abs(fd.mu_lame - closed[1])) / scale,
             )
-            s = rng.uniform(0.5, 2.0, size=(triples // draws + 1, 3))
+            s = rng.uniform(0.5, 2.0, size=(3, 3))
             e = model.energy(s[:, permutations])
             ref = np.maximum(np.abs(e[:, :1]), 1e-30 * max(1.0, model.modulus_scale))
             sym_err = max(sym_err, float(np.max(np.abs(e[:, 1:] - e[:, :1]) / ref)))
@@ -688,7 +730,7 @@ def two_call_verify_table(seed=0, draws=10, lame_rtol=1e-5, triples=20):
             stable = stable and stable_model.rest_stable
         entry = {
             "lame_closure_max_rel_err": closure_err,
-            "lame_closure_pass": bool(closure_err <= lame_rtol),
+            "lame_closure_pass": bool(closure_err <= 1e-5),
             "rest_stable_in_stable_region": bool(stable),
             "permutation_symmetry_max_rel_err": sym_err,
             "permutation_symmetry_pass": bool(sym_err <= 1e-12),

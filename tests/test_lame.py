@@ -199,6 +199,13 @@ def test_moduli_validation_rejects_non_finite_values(E, nu):
         moduli_to_lame(IsotropicModuli(E, nu))
 
 
+@pytest.mark.parametrize("lam, mu", [(0.0, 1e300), (1e308, 1e308), (np.nan, 1.0), (1.0, np.inf)])
+def test_lame_to_moduli_rejects_non_finite_moduli(lam, mu):
+    # E overflows at (0, 1e300) and is NaN at (1e308, 1e308), where lam + mu overflows
+    with pytest.raises(InvalidParameterError, match="finite"):
+        lame_to_moduli(LameParams(lam, mu))
+
+
 NORMALIZABLE = (
     "linear_corotational",
     "st_venant_kirchhoff",
