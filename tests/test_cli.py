@@ -102,7 +102,7 @@ def test_lame_rejects_an_exponent_whose_square_overflows(capsys, alpha):
     code, out, err = run(capsys, "lame", "--family", "seth_hill", "--params", params)
     assert code == 2 and not out
     # make_material rejects a NaN parameter before the exponent is checked
-    reason = "alpha must be finite" if alpha != alpha else "exponent"
+    reason = "alpha must be finite" if np.isnan(alpha) else "exponent"
     assert reason in err and "Traceback" not in err
 
 

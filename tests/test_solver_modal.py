@@ -217,7 +217,7 @@ def test_modal_density_scaling():
     # frequencies scale as 1/sqrt(density)
     model = make_material(*SNH)
     m1 = generate_mesh("beam", 1)
-    m4 = TetMesh(m1.vertices, m1.tets, 4000.0)
+    m4 = TetMesh(m1.vertices, m1.tets, 4.0 * m1.density)
     left = face(m1, 0, 0.0)
     bc = BoundaryCondition(vertices=left, positions=m1.vertices[left])
     f1 = modal_frequencies(m1, model, bc, 5)
