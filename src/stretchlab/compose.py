@@ -61,15 +61,19 @@ VOLUMETRIC_KINDS = ("j_minus_1_sq", "log_j_sq")
 
 
 def LinearCombination(terms):
-    """The ``combination`` material sum c * m over (c, MaterialModel) pairs,
-    without the entries whose scaled coefficient c * k is exactly zero."""
+    """The ``combination`` material sum c * m over (c, MaterialModel) pairs: one entry
+    per (alpha, term) in first-seen order, its c * k summed, left out when exactly zero."""
     terms = [(float(c), m) for c, m in terms]
     positive = any(m.domain == "positive" for _, m in terms)
+    merged = {}
+    for c, m in terms:
+        for k, a, t in m.terms:
+            merged[a, t] = merged.get((a, t), 0.0) + c * k
     return MaterialModel(
         "combination",
         {},
         "positive" if positive else "unrestricted",
-        [(c * k, a, t) for c, m in terms for k, a, t in m.terms if c * k != 0.0],
+        [(k, a, t) for (a, t), k in merged.items() if k != 0.0],
         sum(abs(c) * m.modulus_scale for c, m in terms) or 1.0,
     )
 
@@ -115,9 +119,12 @@ def _raw_terms(family, params):
     unit-part reconstruction exact for every held extra parameter.
     """
     if family == "valanis_landel_new":
-        a = make_material(family, {"f": params["f"], "h": "scaled:0:log_sq"})
-        b = make_material(family, {"f": "scaled:0:stretch_well", "h": params["h"]})
-        return a, b
+        model = make_material(family, params)
+        lam, mu = model.lame_closed_form()
+        return [
+            MaterialModel(family, params, model.domain, [entry], max(abs(scale), 1e-300), pair)
+            for entry, scale, pair in zip(model.terms, (2.0 * mu, lam), ((0.0, mu), (lam, 0.0)))
+        ]
     a = make_material(family, dict(params, lam=0.0))
     b = LinearCombination([(1.0, make_material(family, dict(params, lam=1.0))), (-1.0, a)])
     return a, b
@@ -145,7 +152,8 @@ def decompose(family, params):
     ea = extract_lame(raw_a, allow_rest_stress=True)
     eb = extract_lame(raw_b, allow_rest_stress=True)
     M = np.array([[ea.lambda_lame, eb.lambda_lame], [ea.mu_lame, eb.mu_lame]])
-    if abs(np.linalg.det(M)) < 1e-8 * max(1.0, float(np.abs(M).max()) ** 2):
+    scale = max(1.0, float(np.abs(M).max()))  # Python floats overflow to inf, silently
+    if abs(ea.lambda_lame * eb.mu_lame - eb.lambda_lame * ea.mu_lame) < 1e-8 * scale * scale:
         raise NonSeparableFamilyError(
             f"'{family}' raw terms are degenerate (extractions {ea}, {eb})"
         )

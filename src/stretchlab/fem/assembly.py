@@ -226,6 +226,7 @@ def stress_jacobian_from_svd(svd, grad, hess, project=False):
     return M + (np.swapaxes(modes, -1, -2) * eig[..., None, :]) @ modes
 
 
+@np.errstate(all="ignore")  # overflow gives inf or NaN; the callers reject it
 def total_energy(mesh, material, positions):
     """Total elastic energy; raises InvertedElementError out of domain."""
     basis = mesh.basis
@@ -252,6 +253,7 @@ def free_dof_indices(mesh, bc):
     return np.nonzero(mask)[0]
 
 
+@np.errstate(all="ignore")  # overflow gives inf or NaN; the callers reject it
 def assemble(mesh, material, positions=None, project=False):
     """Assemble force, tangent stiffness and energy over all coordinates.
 
@@ -269,8 +271,8 @@ def assemble(mesh, material, positions=None, project=False):
     Raises
     ------
     InvertedElementError
-        When an element leaves the material's validity domain; carries
-        the lowest such element index.
+        When an element leaves the material's validity domain or the float
+        range of its stress; carries the lowest such element index.
     """
     basis = mesh.basis
     ndof = 3 * mesh.num_vertices
@@ -281,6 +283,9 @@ def assemble(mesh, material, positions=None, project=False):
         H = material.hessian(svd.sigma)
     except DomainViolationError as err:
         raise InvertedElementError(err.index, str(err)) from err
+    ok = np.isfinite(g).all(axis=-1) & np.isfinite(H).all(axis=(-2, -1))
+    if not ok.all():
+        raise InvertedElementError(int(np.argmin(ok)), f"{material.family}: stress not finite")
     vol = basis.volumes
     G = basis.G
     Gt = G.swapaxes(1, 2)

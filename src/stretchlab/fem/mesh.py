@@ -21,7 +21,8 @@ from itertools import permutations
 
 import numpy as np
 
-__all__ = ["TetMesh", "BoundaryCondition", "generate_mesh", "read_mesh", "write_mesh"]
+__all__ = ["TetMesh", "BoundaryCondition", "face_vertices", "generate_mesh", "read_mesh",
+           "write_mesh"]
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,13 @@ class BoundaryCondition:
         for v, p, m in zip(self.vertices, self.positions, self.coords):
             positions[v][m] = p[m]
         return positions
+
+
+_FACE_TOL = 1e-9  # m, the largest distance of a face vertex from its plane
+
+
+def face_vertices(mesh, axis, value):
+    return np.nonzero(np.abs(mesh.vertices[:, axis] - value) < _FACE_TOL)[0]
 
 
 def edge_matrices(x, tets):

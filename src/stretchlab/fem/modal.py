@@ -41,14 +41,29 @@ the pivot ``dpbtrf`` rejected, or else of the smallest pivot.
 scipy is imported inside ``modal_frequencies``: a module-level import
 would load scipy.sparse, about 30 MB of resident memory and its import
 time, into every command, and only ``modes`` uses it.
+
+numpy and scipy each load their own OpenBLAS with its own thread pool,
+and a pool that has threaded a call keeps its threads spinning for a
+while after it. ``modes`` makes no numpy BLAS call large enough to
+thread (its stiffness difference is ``rel_frobenius_diff``), so scipy's
+band Cholesky ``dpbtrf`` has the cores to itself. The numpy BLAS calls
+of the CLI workloads are:
+
+- the dense Newton ``np.linalg.solve`` of ``stretch-test``, which is
+  needed and threads;
+- ``svd``, ``eigh``, ``inv`` and ``det`` on stacks of 3x3 matrices,
+  the 2x2 solves of ``compose`` and the batched element products of
+  ``assemble``, none of which threads.
 """
+
+import math
 
 import numpy as np
 
 from ..errors import RestInstabilityError
 from .assembly import assemble, free_dof_indices
 
-__all__ = ["modal_frequencies"]
+__all__ = ["modal_frequencies", "rel_frobenius_diff"]
 
 
 def modal_frequencies(mesh, material, bc, k):
@@ -87,7 +102,7 @@ def modal_frequencies(mesh, material, bc, k):
     band[b + upper.row - upper.col, upper.col] = upper.data
     tol = n * np.finfo(float).eps * band[b].max()
     factor, info = dpbtrf(band)
-    if info == 0:
+    if info == 0 and np.isfinite(factor).all():
         solve = LinearOperator(A.shape, matvec=lambda x: dpbtrs(factor, x)[0], dtype=float)
         w = np.sort(eigsh(
             A, k, sigma=0.0, which="LM", OPinv=solve, v0=np.ones(n), return_eigenvectors=False
@@ -100,3 +115,17 @@ def modal_frequencies(mesh, material, bc, k):
         "the material is indefinite at rest or the clamp leaves rigid motions free "
         f"(failing pivot at vertex {dof // 3}, axis {'xyz'[dof % 3]})"
     )
+
+
+@np.errstate(all="ignore")  # overflow gives inf or NaN; the callers reject it
+def rel_frobenius_diff(a, b):
+    """||a - b|| / ||a|| in the Frobenius norm, with 1 in place of a zero ||a||.
+
+    The squares are summed by ``np.sum``, pairwise in numpy's own loops,
+    not by ``np.linalg.norm``, ``np.dot``, ``np.vdot`` or ``@`` on
+    vectors: those are OpenBLAS ``ddot`` calls, which thread above 10,000
+    values and leave numpy's BLAS threads spinning (see the module docstring).
+    """
+    a = np.ravel(a)
+    d = a - np.ravel(b)
+    return math.sqrt(np.sum(d * d)) / (math.sqrt(np.sum(a * a)) or 1.0)

@@ -17,8 +17,9 @@ import numpy as np
 
 from ..errors import ConvergenceError, InvertedElementError
 from .assembly import assemble, free_dof_indices, total_energy
+from .mesh import BoundaryCondition, face_vertices, generate_mesh
 
-__all__ = ["QuasiStaticResult", "solve_quasistatic", "reaction_force"]
+__all__ = ["QuasiStaticResult", "solve_quasistatic", "reaction_force", "stretch_curve"]
 
 RTOL = 1e-8
 MAX_ITERS = 100
@@ -115,3 +116,66 @@ def solve_quasistatic(mesh, material, bc, x0=None):
         f"(last residual {residuals[-1]:.3e}, tol {tol:.3e})",
         residual_history=residuals,
     )
+
+
+@np.errstate(all="ignore")  # a far distance overflows to inf or NaN, which the solve rejects
+def _initial_guess(tets, path, d):
+    """Start of the solve at distance ``d`` from the converged ``path``.
+
+    The secant predictor extrapolates the last two converged points
+    linearly in the distance. With a single point, two points at one
+    distance, or an extrapolation that gives any tet a non-positive
+    edge-matrix determinant, the last point is scaled along x by
+    d / d_prev instead, a map that inverts no element.
+    """
+    d1, x1 = path[-1]
+    if len(path) > 1 and path[-2][0] != d1:
+        d0, x0 = path[-2]
+        guess = x1 + (d - d1) / (d1 - d0) * (x1 - x0)
+        edges = guess[tets[:, 1:]] - guess[tets[:, :1]]
+        if np.all(np.linalg.det(edges) > 0.0):
+            return guess
+    guess = x1.copy()
+    guess[:, 0] *= d / d1
+    return guess
+
+
+def stretch_curve(model, n, distances, slide=False):
+    """Pull a unit cube apart along x; signed tension force per distance.
+
+    Both x-faces are clamped (all coordinates unless ``slide``); the left
+    face stays at x = 0 and the right face is prescribed at x = d for
+    each d of ``distances``, in order. Each solve starts from a
+    continuation predictor over the converged path, which begins at the
+    rest shape (d = 1), and all solves share the mesh's one ``basis``.
+
+    Returns ``(rows, skipped)``: rows are (d, force) for the distances
+    that converged, the force the x-reaction on the right face, positive
+    in tension; skipped are (d, error) for those that did not, the error a
+    ConvergenceError or the InvertedElementError that stopped the solve.
+    """
+    mesh = generate_mesh("cube", n, size=1.0)
+    left = face_vertices(mesh, 0, 0.0)
+    right = face_vertices(mesh, 0, 1.0)
+    verts = np.concatenate([left, right])
+    coords = None
+    if slide:
+        coords = np.zeros((len(verts), 3), dtype=bool)
+        coords[:, 0] = True
+    rows, skipped = [], []
+    path = [(1.0, mesh.vertices)]
+    for d in distances:
+        d = float(d)
+        pos = mesh.vertices[verts].copy()
+        pos[len(left):, 0] += d - 1.0
+        bc = BoundaryCondition(vertices=verts, positions=pos, coords=coords)
+        x0 = _initial_guess(mesh.tets, path, d)
+        try:
+            result = solve_quasistatic(mesh, model, bc, x0=x0)
+        except (ConvergenceError, InvertedElementError) as err:
+            skipped.append((d, err))
+            continue
+        path = [path[-1], (d, result.positions)]
+        # 0.0 - f rather than -f, so that a zero reaction is 0, not -0
+        rows.append((d, 0.0 - float(reaction_force(result, right)[0])))
+    return rows, skipped

@@ -11,7 +11,8 @@ This module extracts those values (analytically or by finite
 differences) and converts them to and from Young's modulus and Poisson's
 ratio. ``normalize``, which solves a family's parameters for a target, is
 defined next to the family rows in ``materials`` (each row holds the
-inverse of its closed-form Lame pair) and re-exported here.
+inverse of its closed-form Lame pair) and re-exported here. ``verify_table``
+checks the fd extraction against every family's closed form.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, RestInstabilityError
 from .fd import hessian_stencil
-from .materials import make_material, normalize
+from .materials import catalog_families, make_material, normalize, sample_params, stack
 
 __all__ = [
     "LameParams",
@@ -34,6 +35,7 @@ __all__ = [
     "moduli_to_lame",
     "normalize",
     "pk1_linearize",
+    "verify_table",
 ]
 
 _REST = np.ones(3)
@@ -81,10 +83,12 @@ def rest_hessian(model, method="analytic"):
     if method == "analytic":
         return model.hessian(_REST)
     if method == "fd":
-        return FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)
+        with np.errstate(all="ignore"):  # overflow gives inf or NaN; the callers reject it
+            return FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)
     raise InvalidParameterError(f"unknown extraction method '{method}'")
 
 
+@np.errstate(all="ignore")  # overflow gives inf or NaN; the callers reject it
 def extract_lame(model, method="analytic", allow_rest_stress=False):
     """Extract (lambda_lame, mu_lame) from a material's rest Hessian.
 
@@ -132,6 +136,79 @@ def lame_from_hessian(H):
     return LameParams(lam, 0.5 * ((h00 + h11 + h22) / 3.0 - lam))
 
 
+# the identity first, then the five other orderings of a triple
+_PERMUTATIONS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+_STENCIL = len(FD_REST_POINTS)
+# per family: parameter draws, stretch triples per draw, fd Lame closure bound
+_DRAWS, _PER_DRAW, _LAME_RTOL = 10, 3, 1e-5
+
+
+def verify_table(seed=0):
+    """Per-family verification report.
+
+    Checks finite-difference Lame extraction against the closed forms
+    (``_LAME_RTOL`` relative) on ``_DRAWS`` random valid parameter draws,
+    rest stability on as many rest-stable-region draws, and permutation
+    symmetry of the energy on ``_PER_DRAW`` triples per draw. Each
+    family's draws are made first, in rng-stream order, then evaluated.
+    Draws that share a term structure differ only in their coefficients,
+    so ``materials.stack`` makes each such group one model with
+    coefficient columns: one energy call per group on the fd rest stencil
+    followed by each draw's triples under all six orderings, and one
+    rest-gradient call per group of rest-stable draws. A group of one
+    takes the same path. The closure and symmetry errors of all families
+    are then one array expression each. The reports equal those of per-draw
+    evaluation to the last bit.
+    """
+    rng = np.random.default_rng(seed)
+    families = catalog_families()
+    points = np.empty((_DRAWS, _STENCIL + 6 * _PER_DRAW, 3))
+    points[:, :_STENCIL] = FD_REST_POINTS
+    e = np.empty((len(families), _DRAWS, points.shape[1]))
+    closed = np.empty((len(families), _DRAWS, 2))
+    floor = np.empty((len(families), _DRAWS))
+    stable = []
+    for f, family in enumerate(families):
+        models, stable_models, stretches = [], [], []
+        for _ in range(_DRAWS):
+            models.append(make_material(family, sample_params(family, rng)))
+            # uniform on [0.5, 2) below, as rng.uniform draws it: 0.5 + 1.5 u
+            stretches.append(rng.random((_PER_DRAW, 3)))
+            stable_params = sample_params(family, rng, rest_stable=True)
+            stable_models.append(make_material(family, stable_params))
+        stretches = 0.5 + 1.5 * np.array(stretches)
+        points[:, _STENCIL:] = stretches[:, :, _PERMUTATIONS].reshape(_DRAWS, -1, 3)
+        for idx, group in stack(models):
+            e[f, idx] = group.energy(points[idx])
+        closed[f] = [model.lame_closed_form() for model in models]
+        floor[f] = [1e-30 * max(1.0, model.modulus_scale) for model in models]
+        stable.append(all(group.rest_stable.all() for _, group in stack(stable_models)))
+    # the fd pair per draw: a stacked product may round differently
+    rows = e.reshape(-1, e.shape[-1])
+    pairs = [lame_from_hessian(FD_REST_WEIGHTS @ row[:_STENCIL]) for row in rows]
+    fd = np.array([(p.lambda_lame, p.mu_lame) for p in pairs]).reshape(closed.shape)
+    scale = np.maximum(np.abs(closed).max(axis=-1), 1e-30)
+    # np.max keeps a NaN error, where Python's max would drop it
+    closure = np.max(np.abs(fd - closed) / scale[..., None], axis=(1, 2))
+    e = e[..., _STENCIL:].reshape(len(families), _DRAWS, _PER_DRAW, 6)
+    ref = np.maximum(np.abs(e[..., :1]), floor[..., None, None])
+    sym = np.max(np.abs(e[..., 1:] - e[..., :1]) / ref, axis=(1, 2, 3))
+    report = {}
+    for family, closure_err, sym_err, family_stable in zip(
+        families, closure.tolist(), sym.tolist(), stable
+    ):
+        closure_ok, sym_ok = closure_err <= _LAME_RTOL, sym_err <= 1e-12
+        report[family] = {
+            "lame_closure_max_rel_err": closure_err,
+            "lame_closure_pass": closure_ok,
+            "rest_stable_in_stable_region": family_stable,
+            "permutation_symmetry_max_rel_err": sym_err,
+            "permutation_symmetry_pass": sym_ok,
+            "pass": closure_ok and family_stable and sym_ok,
+        }
+    return all(entry["pass"] for entry in report.values()), report
+
+
 def lame_to_moduli(lame):
     """Convert (lambda_lame, mu_lame) to (E, nu); both must come out finite."""
     lam, mu = lame.lambda_lame, lame.mu_lame
@@ -160,6 +237,8 @@ def moduli_to_lame(moduli):
         raise InvalidParameterError(f"nu = {nu} must exceed -1")
     lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = E / (2.0 * (1.0 + nu))
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise InvalidParameterError(f"lambda_lame and mu_lame must be finite, got {lam}, {mu}")
     return LameParams(lam, mu)
 
 

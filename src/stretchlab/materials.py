@@ -111,15 +111,18 @@ class MaterialModel:
         groups = {}
         for coef, alpha, term in self.terms:
             alpha = float(alpha)
-            # the filter divides by alpha^2: an overflow there is an input error
-            if not math.isfinite(alpha * alpha):
-                raise InvalidParameterError(f"{family}: exponent {alpha!r} has no finite square")
+            # the filter divides by alpha^2, which must be finite and nonzero
+            if not 0.0 < alpha * alpha < math.inf:
+                raise InvalidParameterError(f"{family}: exponent {alpha!r} squares out of range")
             c = coef if isinstance(coef, np.ndarray) else float(coef)
+            if type(c) is float and not math.isfinite(c):  # a column holds checked floats
+                raise InvalidParameterError(f"{family}: coefficient {c!r} is not finite")
             groups.setdefault(alpha, []).append((c, term))
         self._groups = list(groups.items())
         self.structure = tuple([(alpha, term) for _, alpha, term in self.terms])
 
     @functools.cached_property
+    @np.errstate(all="ignore")  # a gradient that overflows is not finite, which fails
     def rest_stable(self):
         scale = self.modulus_scale
         g = self.gradient(np.ones(np.shape(scale) + (3,)))

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 
-from stretchlab.cli import stretch_curve, verify_table
 from stretchlab.compose import combine, decompose, volumetric_part
 from stretchlab.fd import fd_gradient, fd_hessian
 from stretchlab.fem import (
@@ -16,6 +15,7 @@ from stretchlab.fem import (
     assemble,
     generate_mesh,
     modal_frequencies,
+    stretch_curve,
 )
 from stretchlab.fem.assembly import total_energy
 from stretchlab.filtering import filter_nonlinearity
@@ -26,6 +26,7 @@ from stretchlab.lame import (
     moduli_to_lame,
     normalize,
     pk1_linearize,
+    verify_table,
 )
 from stretchlab.materials import make_material, sample_params
 

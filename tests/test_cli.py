@@ -15,18 +15,13 @@ import pytest
 import stretchlab
 import stretchlab.cli
 import stretchlab.compose
+import stretchlab.fem.solver
 import stretchlab.specs
-from stretchlab.cli import (
-    _initial_guess,
-    build_parser,
-    main,
-    rel_frobenius_diff,
-    stretch_curve,
-    verify_table,
-)
+from stretchlab.cli import build_parser, main
 from stretchlab.errors import ConvergenceError, InvertedElementError
-from stretchlab.fem import ElementBasis, assemble, generate_mesh
-from stretchlab.lame import extract_lame
+from stretchlab.fem import ElementBasis, assemble, generate_mesh, rel_frobenius_diff, stretch_curve
+from stretchlab.fem.solver import _initial_guess
+from stretchlab.lame import extract_lame, verify_table
 from stretchlab.materials import MaterialModel, catalog_families, make_material, sample_params
 
 
@@ -109,13 +104,11 @@ def test_lame_rejects_an_exponent_whose_square_overflows(capsys, alpha):
 @pytest.mark.parametrize("mu", [1e300, 1e308])
 def test_lame_exits_2_on_a_result_that_is_not_finite(capsys, mu):
     # the Lame pair (0, mu) is finite, but E = mu (3 lam + 2 mu) / (lam + mu)
-    # overflows; at 1e308 the fd extraction, and so method_agreement, does too
-    # (numpy warns of that overflow, and the warning is not under test)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(
-            capsys, "lame", "--family", "symmetric_arap", "--params", json.dumps({"mu": mu})
-        )
+    # overflows; at 1e308 the fd extraction, and so method_agreement, does too,
+    # with no RuntimeWarning (pytest makes one an error)
+    code, out, err = run(
+        capsys, "lame", "--family", "symmetric_arap", "--params", json.dumps({"mu": mu})
+    )
     assert code == 2 and not out
     assert "finite" in err and "Traceback" not in err
 
@@ -178,11 +171,21 @@ def test_normalize_command(capsys):
 
 
 @pytest.mark.parametrize(
-    "moduli", [("--E", "nan", "--nu", "0.3"), ("--E", "1e6", "--nu", "nan"), ("--E=inf", "--nu=0.3")]
+    "moduli",
+    [("--E", "nan", "--nu", "0.3"), ("--E", "1e6", "--nu", "nan"), ("--E=inf", "--nu=0.3"),
+     # finite, but lambda_lame = E nu / ((1 + nu)(1 - 2 nu)) overflows
+     ("--E", "1e308", "--nu", "0.49999")],
 )
 def test_normalize_rejects_non_finite_moduli(capsys, moduli):
     code, out, err = run(capsys, "normalize", "--family", "stable_neo_hookean", *moduli)
     assert code == 2 and out == "" and "must be finite" in err
+
+
+def test_emit_refuses_a_number_that_is_not_finite(capsys):
+    # the last guard of an exit-0 output; main maps the ValueError to exit 2
+    with pytest.raises(ValueError):
+        stretchlab.cli._emit({"E": float("inf")})
+    assert capsys.readouterr().out == ""
 
 
 def test_normalize_unreachable_target(capsys):
@@ -324,7 +327,7 @@ def test_inverted_element_exit_code(capsys, tmp_path, monkeypatch):
     def inverted(*args, **kwargs):
         raise InvertedElementError(7, "stretches outside the domain")
 
-    monkeypatch.setattr(stretchlab.cli, "solve_quasistatic", inverted)
+    monkeypatch.setattr(stretchlab.fem.solver, "solve_quasistatic", inverted)
     code, err, rows = stretch_rows(
         capsys, tmp_path, "--family", "hencky", "--params", '{"mu": 1e5, "lam": 4e5}', "--n", "1",
         "--dmin", "0.9", "--dmax", "1.0", "--steps", "2",
@@ -338,14 +341,14 @@ def test_inverted_element_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_inverted_element_skips_one_distance_and_keeps_the_others(capsys, tmp_path, monkeypatch):
-    solve = stretchlab.cli.solve_quasistatic
+    solve = stretchlab.fem.solver.solve_quasistatic
 
     def invert_at_1_1(mesh, model, bc, **kwargs):
         if np.isclose(bc.positions[:, 0].max(), 1.1):
             raise InvertedElementError(5, "stretches outside the domain")
         return solve(mesh, model, bc, **kwargs)
 
-    monkeypatch.setattr(stretchlab.cli, "solve_quasistatic", invert_at_1_1)
+    monkeypatch.setattr(stretchlab.fem.solver, "solve_quasistatic", invert_at_1_1)
     code, err, rows = stretch_rows(
         capsys, tmp_path, "--family", "stable_neo_hookean", "--params",
         '{"mu": 1e5, "lam": 4e5}', "--n", "1", "--dmin", "1.0", "--dmax", "1.2",
@@ -383,7 +386,7 @@ def test_repeated_distances(capsys, tmp_path):
 
 
 def test_skipped_distance_exits_3_and_keeps_the_other_rows(capsys, tmp_path, monkeypatch):
-    solve = stretchlab.cli.solve_quasistatic
+    solve = stretchlab.fem.solver.solve_quasistatic
     calls = []
 
     def fail_second(*args, **kwargs):
@@ -392,7 +395,7 @@ def test_skipped_distance_exits_3_and_keeps_the_other_rows(capsys, tmp_path, mon
             raise ConvergenceError("no convergence after 100 iterations")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(stretchlab.cli, "solve_quasistatic", fail_second)
+    monkeypatch.setattr(stretchlab.fem.solver, "solve_quasistatic", fail_second)
     code, err, rows = stretch_rows(
         capsys, tmp_path, "--family", "stable_neo_hookean", "--params",
         '{"mu": 1e5, "lam": 4e5}', "--n", "1", "--dmin", "1.0", "--dmax", "1.2",
@@ -494,6 +497,41 @@ def test_stretch_test_rejects_bad_range(capsys, tmp_path):
         str(tmp_path / "x.csv"),
     )
     assert code == 2
+
+
+def test_stretch_test_rejects_an_infinite_distance(capsys, tmp_path):
+    out = str(tmp_path / "x.csv")
+    code, _, err = run(capsys, "stretch-test", "--family", "arap", "--dmax", "inf", "--out", out)
+    assert code == 2 and "dmax < inf" in err
+
+
+@pytest.mark.filterwarnings("ignore:filter exponent:UserWarning")
+@pytest.mark.parametrize(
+    "material, dmin, dmax, skipped",
+    [
+        # the filtered stretch 1.1^alpha overflows at alpha = 1e5, and 0.9^alpha is 0
+        (("--family", "arap", "--alpha", "1e5"), "0.9", "1.1", "1.1"),
+        # the secant guess towards d = 1e308 overflows
+        (("--family", "linear_corotational", "--params", '{"mu": 1, "lam": 1}'), "0.5", "1e308",
+         "1e\\+308"),
+    ],
+)
+def test_stretch_test_skips_a_distance_whose_stress_is_not_finite(
+    capsys, tmp_path, material, dmin, dmax, skipped
+):
+    code, err, rows = stretch_rows(
+        capsys, tmp_path, *material, "--n", "1", "--dmin", dmin, "--dmax", dmax, "--steps", "2"
+    )
+    assert code == 3 and [d for d, _ in rows] == [float(dmin)]
+    assert re.search(rf"distance {skipped} skipped: element \d+: .*: stress not finite", err)
+
+
+def test_modes_rejects_a_stiffness_that_is_not_finite(capsys, tmp_path):
+    # a finite stress Hessian at rest, 2e307, whose element stiffnesses overflow
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({"family": "hencky", "params": {"mu": 1e307, "lam": 1.0}}))
+    code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
+    assert code == 2 and out == "" and "not positive definite" in err
 
 
 @pytest.mark.parametrize(

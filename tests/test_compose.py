@@ -67,6 +67,17 @@ def test_non_separable_families_rejected():
             decompose(family, {})
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [("linear_corotational", {"mu": 5e-324, "lam": 1.0}), ("neo_hookean", {"mu": 1e308, "lam": 1.0})],
+)
+def test_raw_terms_at_the_float_limits_are_degenerate(family, params):
+    # a subnormal or a near-overflow modulus; the test of the 2x2 system raises no
+    # warning (pytest makes a RuntimeWarning an error) and no OverflowError
+    with pytest.raises(NonSeparableFamilyError, match="degenerate"):
+        decompose(family, params)
+
+
 @pytest.mark.parametrize("kind", ("j_minus_1_sq", "log_j_sq"))
 def test_volumetric_parts(kind):
     part = volumetric_part(kind)
@@ -299,7 +310,7 @@ def test_linear_combination_drops_zero_entries():
     s = np.random.default_rng(4).uniform(0.6, 1.6, size=(5, 3))
     assert np.allclose(combo.energy(s), 2.0 * svk.energy(s), rtol=1e-14, atol=0.0)
     assert np.allclose(combo.hessian(s), 2.0 * svk.hessian(s), rtol=1e-14, atol=1e-300)
-    # the SVK mu-part keeps one of the eight entries of its two raw terms
+    # the SVK mu-part is one entry
     _, mu_part = decompose("st_venant_kirchhoff", {"mu": 1.0, "lam": 1.0})
     assert len(mu_part.model.terms) == 1 and mu_part.model.terms[0][0] != 0.0
 
@@ -316,3 +327,68 @@ def test_all_zero_combination_keeps_shapes():
     assert combo.rest_stable
     with pytest.raises(DomainViolationError):
         combo.energy(np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]))
+
+
+def test_linear_combination_merges_equal_entries():
+    hencky = make_material("hencky", {"mu": 1.0, "lam": 2.0})
+    svk = make_material("st_venant_kirchhoff", {"mu": 1.0, "lam": 2.0})
+    combo = LinearCombination([(1.0, hencky), (1.5, svk), (2.0, hencky)])
+    # one entry per (alpha, term), in first-seen order, its scaled coefficients summed
+    assert [(a, t) for _, a, t in combo.terms] == [(a, t) for _, a, t in hencky.terms + svk.terms]
+    assert [c for c, _, _ in combo.terms] == [6.0, 3.0, 3.0, 1.5]
+    # entries that cancel are left out
+    assert LinearCombination([(1.0, hencky), (-1.0, hencky)]).terms == []
+
+
+@pytest.mark.parametrize(
+    "family, params, sizes",
+    [
+        ("stable_neo_hookean", {"mu": 1.0, "lam": 1.0}, (1, 3)),
+        ("st_venant_kirchhoff", {"mu": 1.0, "lam": 1.0}, (1, 1)),
+        ("valanis_landel_new", {"f": "scaled:2.0:stretch_well", "h": "scaled:3.0:log_sq"}, (1, 1)),
+    ],
+)
+def test_decomposed_part_entry_counts(family, params, sizes):
+    # (lambda-part, mu-part) entries; concatenated lists held (5, 7), (3, 1) and (2, 2)
+    assert tuple(len(part.model.terms) for part in decompose(family, params)) == sizes
+
+
+@pytest.mark.parametrize("family", sorted(SEPARABLE_FAMILIES))
+def test_decomposed_parts_repeat_no_entry(family):
+    params = sample_params(family, np.random.default_rng(5), rest_stable=True)
+    for part in decompose(family, params):
+        structure = [(alpha, term) for _, alpha, term in part.model.terms]
+        assert len(set(structure)) == len(structure)
+        assert all(coef != 0.0 for coef, _, _ in part.model.terms)
+
+
+def test_svk_lambda_part_has_no_shear():
+    # its +2/-2 separable pair cancels exactly, so the fd mu_lame is exactly 0
+    lam_part, _ = decompose("st_venant_kirchhoff", {"mu": 1.0, "lam": 1.0})
+    assert unit_extraction(lam_part) == (pytest.approx(1.0, abs=1e-12), 0.0)
+
+
+def concatenating_combination(terms):
+    """Oracle: the combination rule before entries merged, scaled lists concatenated
+    without the exactly zero entries."""
+    terms = [(float(c), m) for c, m in terms]
+    positive = any(m.domain == "positive" for _, m in terms)
+    return MaterialModel(
+        "combination",
+        {},
+        "positive" if positive else "unrestricted",
+        [(c * k, a, t) for c, m in terms for k, a, t in m.terms if c * k != 0.0],
+        sum(abs(c) * m.modulus_scale for c, m in terms) or 1.0,
+    )
+
+
+def test_benchmark_composition_keeps_its_term_list(monkeypatch):
+    # the composed material of the modes benchmark: merging changes none of its entries
+    svk = {"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}}
+    spec = {"combine": {"mu_part": svk, "lambda_part": "j_minus_1_sq", "E": 2e5, "nu": 0.3,
+                        "alpha_mu": 2.0}}
+    merged = build_material(spec)
+    monkeypatch.setattr(stretchlab.compose, "LinearCombination", concatenating_combination)
+    concatenated = build_material(spec)
+    assert merged.terms == concatenated.terms and len(merged.terms) == 2
+    assert merged.modulus_scale == concatenated.modulus_scale

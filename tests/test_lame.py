@@ -192,7 +192,10 @@ def test_moduli_validation():
 
 
 @pytest.mark.parametrize(
-    "E,nu", [(np.nan, 0.3), (1e5, np.nan), (np.inf, 0.3), (-np.inf, 0.3), (1e5, -np.inf)]
+    "E,nu",
+    [(np.nan, 0.3), (1e5, np.nan), (np.inf, 0.3), (-np.inf, 0.3), (1e5, -np.inf),
+     # finite moduli whose lambda_lame (near nu = 1/2) or mu_lame (near nu = -1) overflows
+     (1e308, 0.49999), (1e308, -0.99999)],
 )
 def test_moduli_validation_rejects_non_finite_values(E, nu):
     with pytest.raises(InvalidParameterError, match="finite"):
@@ -289,3 +292,9 @@ def test_pk1_linearize_fixed_point():
     assert l0.mu_lame == pytest.approx(l1.mu_lame, rel=1e-12)
     assert l0.lambda_lame == pytest.approx(3.0, rel=1e-10)
     assert l0.mu_lame == pytest.approx(2.0, rel=1e-10)
+
+
+def test_fd_rest_hessian_overflows_without_a_warning():
+    # the weighted sum overflows at mu = 1e308; pytest makes a RuntimeWarning an error
+    H = rest_hessian(make_material("symmetric_arap", {"mu": 1e308}), method="fd")
+    assert not np.isfinite(H).all()

@@ -346,3 +346,17 @@ def test_uniform_draws_match_the_rng_uniform_stream(family, monkeypatch):
     want = [sample_params(family, ref, rest_stable=bool(i % 2)) for i in range(2000)]
     assert got == want
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-170])
+def test_an_exponent_whose_square_underflows_is_rejected(alpha):
+    # the filter divides by alpha^2, which is 0.0 here
+    params = {"mu": 1.0, "lam": 1.0, "alpha": alpha}
+    with pytest.raises(InvalidParameterError, match="squares out of range"):
+        make_material("seth_hill", params)
+
+
+def test_a_coefficient_that_overflows_is_rejected():
+    # the shear entry of hencky has the coefficient 2 mu
+    with pytest.raises(InvalidParameterError, match="coefficient inf is not finite"):
+        make_material("hencky", {"mu": 1e308, "lam": 1.0})

@@ -53,3 +53,23 @@ def test_material_model_has_no_subclasses():
     for name in MODULES:
         importlib.import_module(name)
     assert MaterialModel.__subclasses__() == []
+
+
+def test_cli_is_a_thin_shell():
+    # it parses arguments, calls one library function per command and maps
+    # errors to exit codes; the numerical code lives in the library
+    tree = ast.parse(_source("stretchlab.cli"))
+    shell = {"_emit", "_load_spec", "_add_spec_flags", "build_parser", "main"}
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [name for name in defined if name not in shell and not name.startswith("cmd_")] == []
+    numpy_uses = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+    }
+    assert numpy_uses == {"linspace"}
+
+
+def test_cli_binds_the_library_verify_table():
+    # one function object, so the benchmark traces it as the layer cli.verify_table
+    cli = importlib.import_module("stretchlab.cli")
+    assert cli.verify_table is importlib.import_module("stretchlab.lame").verify_table
