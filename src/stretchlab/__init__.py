@@ -28,7 +28,6 @@ from .materials import (
     make_material,
     sample_params,
 )
-from .fd import fd_gradient, fd_hessian
 from .lame import (
     IsotropicModuli,
     LameParams,

@@ -9,9 +9,9 @@ modes         compare rest stiffness and modal frequencies of two specs
 verify-table  closed-form vs finite-difference Lame check for the catalog
 genmesh       write a generated cube/beam mesh file
 
-Exit codes: 0 success, 2 validation error or any other library error,
-3 convergence failure (a stretch-test distance skipped, too) or an
-inverted element, 4 verification failure.
+Exit codes: 0 success, 2 validation error (an unusable path, too) or any
+other library error, 3 convergence failure (a stretch-test distance
+skipped, too) or an element out of domain, 4 verification failure.
 """
 
 import argparse
@@ -34,8 +34,8 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
-# malformed command-line input: bad JSON or numbers, missing keys or files
-_INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError)
+# malformed command-line input: bad JSON or numbers, missing keys, unusable paths
+_INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _emit(obj):
@@ -226,8 +226,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConvergenceError, InvertedElementError) as err:
+    except ConvergenceError as err:
         print(f"convergence failure: {err}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except InvertedElementError as err:
+        print(f"out of domain: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (StretchlabError, *_INPUT_ERRORS) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,29 +1,28 @@
-"""Central finite-difference oracle over stretch triples.
+"""Central finite-difference Hessians over stretch triples.
 
-Used by the test suite as the independent reference for analytic
-gradients and Hessians, and by the Lame extraction as the authoritative
-path. ``f`` maps a (..., 3) stack of triples to a (...) array of values,
-as every ``MaterialModel.energy`` does: each function builds its whole
-stencil as one (k, 3) array and calls ``f`` on it once. Steps are
-relative, scaled per coordinate by max(1, |s_i|), which keeps
+The Lame extraction's fd rule takes its stencil and weights from
+``hessian_stencil``; the test suite's gradient oracle (``tests/fd_oracle.py``)
+shares ``_steps``. ``f`` maps a (..., 3) stack of triples to a (...) array
+of values, as every ``MaterialModel.energy`` does: each function builds
+its whole stencil as one (k, 3) array and calls ``f`` on it once. Steps
+are relative, scaled per coordinate by max(1, |s_i|), which keeps
 conditioning uniform near rest and at large stretch.
 
 The Hessian formula, ``_hessian``, is linear in the 19 stencil values, so
 ``hessian_stencil`` gets its weights by applying it to unit vectors.
 ``fd_hessian`` applies it to the values, differences first: a weighted
 sum rounds each f / h^2 alone, which costs eps |f| / h^2 unless f is near
-zero, as the energy is at rest.
+zero, as the energy is at rest. Only tests call ``fd_hessian``; it stays
+here while the benchmark traces it as a layer.
 """
 
 import numpy as np
 
-__all__ = ["fd_gradient", "fd_hessian", "hessian_stencil"]
+__all__ = ["fd_hessian", "hessian_stencil"]
 
 _E = np.eye(3)
 _PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
 _CROSS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-# unit offsets: +e_i, -e_i (6 points)
-_GRAD_STENCIL = np.concatenate([_E, -_E])
 # unit offsets: 0, +e_i, -e_i, then (+-e_i +-e_j) per pair i < j (19 points)
 _HESS_STENCIL = np.vstack(
     [np.zeros(3), _E, -_E]
@@ -37,14 +36,6 @@ def _steps(s, step):
     if not 1e-9 < step < 1e-2:
         raise ValueError(f"fd step {step} outside (1e-9, 1e-2)")
     return step * np.maximum(1.0, np.abs(s))
-
-
-def fd_gradient(f, s, step=1e-5):
-    """Central-difference gradient of a scalar field over stretch triples."""
-    s = np.asarray(s, dtype=float)
-    h = _steps(s, step)
-    v = np.asarray(f(s + _GRAD_STENCIL * h), dtype=float)
-    return (v[:3] - v[3:]) / (2.0 * h)
 
 
 def _hessian(v, h):

@@ -248,8 +248,8 @@ def lumped_mass(mesh):
 def free_dof_indices(mesh, bc):
     """Indices of unconstrained coordinates."""
     mask = np.ones(3 * mesh.num_vertices, dtype=bool)
-    for v, cm in zip(bc.vertices, bc.coords):
-        mask[3 * v : 3 * v + 3] &= ~cm
+    rows, cols = np.nonzero(bc.coords)
+    mask[3 * bc.vertices[rows] + cols] = False
     return np.nonzero(mask)[0]
 
 

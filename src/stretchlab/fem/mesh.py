@@ -115,8 +115,8 @@ class BoundaryCondition:
 
     def apply(self, positions):
         """Write the prescribed coordinates into a position array."""
-        for v, p, m in zip(self.vertices, self.positions, self.coords):
-            positions[v][m] = p[m]
+        rows, cols = np.nonzero(self.coords)
+        positions[self.vertices[rows], cols] = self.positions[rows, cols]
         return positions
 
 

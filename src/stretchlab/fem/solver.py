@@ -39,10 +39,7 @@ class QuasiStaticResult:
 
 def reaction_force(result, vertex_set):
     """Sum of internal forces over a constrained vertex set (3-vector)."""
-    out = np.zeros(3)
-    for v in vertex_set:
-        out += result.force[3 * v : 3 * v + 3]
-    return out
+    return result.force.reshape(-1, 3)[vertex_set].sum(axis=0)
 
 
 def solve_quasistatic(mesh, material, bc, x0=None):

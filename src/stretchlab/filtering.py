@@ -13,9 +13,10 @@ multiplied by alpha; it evaluates nothing itself, and filters compose
 multiplicatively. Applied to the Linear Corotational material this is
 the Seth-Hill family, which the catalog builds the same way; alpha = 2
 gives St. Venant-Kirchhoff.
-"""
 
-import warnings
+``RECOMMENDED_ALPHA_RANGE`` is advice: any positive exponent is accepted,
+with no warning, which ``python -W error`` would turn into a traceback.
+"""
 
 from .errors import InvalidParameterError
 from .materials import MaterialModel
@@ -36,12 +37,6 @@ def filter_nonlinearity(base, alpha):
     alpha = float(alpha)
     if alpha <= 0.0:
         raise InvalidParameterError(f"filter exponent must be positive, got {alpha}")
-    lo, hi = RECOMMENDED_ALPHA_RANGE
-    if not lo <= alpha <= hi:
-        warnings.warn(
-            f"filter exponent {alpha} outside the recommended range [{lo}, {hi}]",
-            stacklevel=2,
-        )
     return MaterialModel(
         f"filtered:{base.family}",
         {"alpha": alpha},

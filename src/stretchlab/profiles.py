@@ -48,21 +48,16 @@ class Profile:
     d1: Callable[[float], float] = field(repr=False)
     d2: Callable[[float], float] = field(repr=False)
 
-    def check_hill(self):
-        """Verify f(1) = 0, f'(1) = 1 and return the profile; raise otherwise."""
-        if abs(self.value(1.0)) > _CONTRACT_TOL or abs(self.d1(1.0) - 1.0) > _CONTRACT_TOL:
+    def _check(self, contract, slope):
+        """Verify f(1) = 0, f'(1) = slope and return the profile; raise otherwise."""
+        if abs(self.value(1.0)) > _CONTRACT_TOL or abs(self.d1(1.0) - slope) > _CONTRACT_TOL:
             raise InvalidParameterError(
-                f"profile '{self.name}' violates the Hill contract f(1)=0, f'(1)=1"
+                f"profile '{self.name}' violates the {contract} contract f(1)=0, f'(1)={slope}"
             )
         return self
 
-    def check_well(self):
-        """Verify f(1) = 0, f'(1) = 0 and return the profile; raise otherwise."""
-        if abs(self.value(1.0)) > _CONTRACT_TOL or abs(self.d1(1.0)) > _CONTRACT_TOL:
-            raise InvalidParameterError(
-                f"profile '{self.name}' violates the well contract f(1)=0, f'(1)=0"
-            )
-        return self
+    check_hill = functools.partialmethod(_check, "Hill", 1)
+    check_well = functools.partialmethod(_check, "well", 0)
 
     @functools.cached_property
     def _half_square(self):

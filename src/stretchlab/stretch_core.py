@@ -3,7 +3,10 @@
 A deformation gradient F is factored as F = U diag(s) V^T where U and V are
 proper rotations and s holds the principal stretches, sorted descending.
 Keeping det(U) = det(V) = +1 pushes any reflection into the sign of the
-smallest stretch, so at most one entry of s can be negative.
+smallest stretch, so at most one entry of s can be negative. Among exactly
+equal stretches, columns are ordered lexicographically by their V column.
+Exchanging two columns of U and V makes both reflections, so the exchange
+also negates the second column of each; U diag(s) V^T is unchanged.
 """
 
 import math
@@ -12,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["RotationVariantSVD", "decompose", "assemble_pk1"]
+
+# the column orders that exchange columns 0 and 1, and columns 1 and 2
+_EXCHANGE = ([1, 0, 2], [0, 2, 1])
 
 
 @dataclass(frozen=True)
@@ -67,19 +73,12 @@ def decompose(F):
         s[2] = -s[2]
     V = Vt.T
 
-    # Deterministic ordering for exactly repeated singular values: among
-    # equal entries, order columns lexicographically by the V column.
+    # the tie rule of the module docstring, for exactly equal stretches
     for i in range(2):
-        if s[i] == s[i + 1]:
-            vi, vj = V[:, i], V[:, i + 1]
-            for a, b in zip(vi, vj):
-                if a != b:
-                    if a < b:
-                        U = U.copy()
-                        V = V.copy()
-                        U[:, [i, i + 1]] = U[:, [i + 1, i]]
-                        V[:, [i, i + 1]] = V[:, [i + 1, i]]
-                    break
+        if s[i] == s[i + 1] and tuple(V[:, i]) < tuple(V[:, i + 1]):
+            U, V = U[:, _EXCHANGE[i]], V[:, _EXCHANGE[i]]
+            U[:, i + 1] = -U[:, i + 1]
+            V[:, i + 1] = -V[:, i + 1]
 
     return RotationVariantSVD(U=U, V=V, sigma=s)
 

@@ -12,8 +12,9 @@ from stretchlab.fem.assembly import (
     stress_jacobian_from_svd,
     total_energy,
 )
+from stretchlab.filtering import filter_nonlinearity
 from stretchlab.lame import extract_lame
-from stretchlab.materials import make_material
+from stretchlab.materials import catalog_families, make_material, sample_params
 from stretchlab.stretch_core import RotationVariantSVD, assemble_pk1, decompose
 
 MATERIALS = (
@@ -99,21 +100,35 @@ def random_rotation(rng):
 NEAR_EQUAL_GAPS = (1e-9, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3)
 
 
-@pytest.mark.parametrize("gap", NEAR_EQUAL_GAPS)
-@pytest.mark.parametrize(
-    "family,params", MATERIALS + (("ogden", {"terms": [[1.0, 3.0], [2.0, -2.0]]}),)
-)
-def test_stress_jacobian_matches_fd_at_near_equal_stretches(family, params, gap):
+def check_near_equal_stretches(model, name, gap):
     # F = R1 diag(s) R2^T with two stretches `gap` apart, rotated on both sides
-    model = make_material(family, params)
-    rng = np.random.default_rng(zlib.crc32(f"{family}:{gap!r}".encode()))
+    rng = np.random.default_rng(zlib.crc32(f"{name}:{gap!r}".encode()))
     for _ in range(4):
         s = rng.uniform(0.7, 1.4)
         stretches = rng.permutation([s, s + gap, rng.uniform(0.7, 1.4)])
         F = random_rotation(rng) @ np.diag(stretches) @ random_rotation(rng).T
         A = element_stress_jacobian(model, F)
         B = fd_stress_jacobian(model, F)
-        assert np.max(np.abs(A - B)) < 1e-4 * model.modulus_scale
+        assert np.max(np.abs(A - B)) < 1e-4 * model.modulus_scale, (name, gap)
+
+
+@pytest.mark.parametrize("gap", NEAR_EQUAL_GAPS)
+@pytest.mark.parametrize(
+    "family,params", MATERIALS + (("ogden", {"terms": [[1.0, 3.0], [2.0, -2.0]]}),)
+)
+def test_stress_jacobian_matches_fd_at_near_equal_stretches(family, params, gap):
+    check_near_equal_stretches(make_material(family, params), family, gap)
+
+
+@pytest.mark.parametrize("family", catalog_families())
+def test_stress_jacobian_matches_fd_at_near_equal_stretches_over_the_catalog(family):
+    # the seed-0 rest-stable draw, plain and filtered at both ends of [0.2, 4]
+    base = make_material(family, sample_params(family, np.random.default_rng(0), rest_stable=True))
+    models = {"": base, ":alpha=0.2": filter_nonlinearity(base, 0.2),
+              ":alpha=4": filter_nonlinearity(base, 4.0)}
+    for label, model in models.items():
+        for gap in (1e-9, 1e-6, 1e-3):
+            check_near_equal_stretches(model, family + label, gap)
 
 
 # gaps on both sides of the flip-mode switch, from the l'Hopital branch to the quotient

@@ -505,7 +505,6 @@ def test_stretch_test_rejects_an_infinite_distance(capsys, tmp_path):
     assert code == 2 and "dmax < inf" in err
 
 
-@pytest.mark.filterwarnings("ignore:filter exponent:UserWarning")
 @pytest.mark.parametrize(
     "material, dmin, dmax, skipped",
     [

@@ -1,13 +1,16 @@
 """The CLI contract under fuzz: typed errors and finite output.
 
 A derandomized hypothesis suite drives ``cli.main`` for ``lame``,
-``normalize``, ``modes`` and ``stretch-test`` (cube n=1). Numbers come
+``normalize``, ``modes`` and ``stretch-test`` (cube n=1), and the
+commands that open a path for paths that cannot be opened. Numbers come
 from NaN, +-inf, +-1e308, subnormals, zero and negatives; JSON values
 may also have the wrong type, and ``combine`` specs nest. Every case
 must end in a documented exit code (0, 2, 3 or 4) with no exception
 escaping ``main``, and an exit-0 output may hold only finite numbers.
-pytest turns a RuntimeWarning into an error (``pyproject.toml``), so a
-numpy overflow warning on the way also fails a case.
+pytest turns a RuntimeWarning or a UserWarning into an error
+(``pyproject.toml``), so a numpy overflow warning or a library warning
+on the way also fails a case: under ``python -W error`` either would end
+``main`` with a traceback.
 """
 
 import contextlib
@@ -18,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from stretchlab.cli import main
@@ -34,9 +36,6 @@ WRONG = st.sampled_from([None, True, "x", "1e5", [], [1.0], {}, {"mu": 1.0}])
 VALUES = st.one_of(NUMBERS, WRONG)
 FAMILIES = st.sampled_from(catalog_families() + ["no_such_family"])
 FUZZ = settings(deadline=None, derandomize=True, database=None)
-
-# a filter exponent outside [0.2, 4] is valid, and warns that it is not recommended
-pytestmark = pytest.mark.filterwarnings("ignore:filter exponent:UserWarning")
 
 
 @st.composite
@@ -92,20 +91,21 @@ def reject_constant(name):
 
 
 def run(argv):
-    """Exit code and stdout of ``cli.main``, which must not raise."""
+    """Exit code, stdout and stderr of ``cli.main``, which must not raise."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     assert code in EXITS, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     event(f"exit {code}")
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def check_json(argv):
-    code, out = run(argv)
+    code, out, err = run(argv)
     if code == 0:
         json.loads(out, parse_constant=reject_constant)
+    return code, err
 
 
 @settings(FUZZ, max_examples=60)
@@ -137,12 +137,21 @@ def test_normalize_fuzz(family, E, nu, data):
 @example(spec_a={"family": "arap"}, spec_b={"family": "arap", "alpha": 5e-324}, k=3).via(
     "a filter exponent whose square is 0.0"
 )
+@example(
+    spec_a={"family": "hencky", "params": {"mu": 5e307, "lam": 1.0}},
+    spec_b={"family": "hencky", "params": {"mu": 5e307, "lam": 1.0}},
+    k=6,
+).via("a rest stress Hessian that overflows")
 def test_modes_fuzz(spec_a, spec_b, k):
     with tempfile.TemporaryDirectory() as tmp:
         path_a, path_b = Path(tmp, "a.json"), Path(tmp, "b.json")
         path_a.write_text(json.dumps(spec_a))
         path_b.write_text(json.dumps(spec_b))
-        check_json(["modes", "--spec-a", path_a, "--spec-b", path_b, "--n", 1, "--k", k])
+        code, err = check_json(
+            ["modes", "--spec-a", path_a, "--spec-b", path_b, "--n", 1, "--k", k]
+        )
+    # modes runs no solve, so its only exit 3 is an element out of domain
+    assert code != 3 or err.startswith("out of domain: "), err
 
 
 @settings(FUZZ, max_examples=25)
@@ -152,14 +161,37 @@ def test_modes_fuzz(spec_a, spec_b, k):
     dmax=st.one_of(st.floats(1.0, 1.5), st.floats(1.0, 1.5), NUMBERS),
     steps=st.sampled_from([1, 2, 0]),
 )
+@example(spec={"family": "arap", "alpha": 1e5}, dmin=0.9, dmax=1.1, steps=2).via(
+    "a filter exponent outside the recommended [0.2, 4]"
+)
 def test_stretch_test_fuzz(spec, dmin, dmax, steps):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, out_path = Path(tmp, "spec.json"), Path(tmp, "curve.csv")
         spec_path.write_text(json.dumps(spec))
-        code, _ = run([
+        code, _, _ = run([
             "stretch-test", "--spec", spec_path, "--n", 1, f"--dmin={dmin!r}",
             f"--dmax={dmax!r}", "--steps", steps, "--out", out_path,
         ])
         if code == 0:
             rows = out_path.read_text().splitlines()[1:]
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+# the commands that open a path the user names, each with that option last
+PATH_COMMANDS = (
+    ("genmesh", "--kind", "cube", "--n", "1", "--out"),
+    ("stretch-test", "--family", "arap", "--n", "1", "--steps", "1", "--out"),
+    ("lame", "--spec"),
+)
+
+
+@settings(FUZZ, max_examples=10)
+@given(command=st.sampled_from(PATH_COMMANDS), name=st.sampled_from(["", "missing/x"]))
+@example(command=PATH_COMMANDS[0], name="").via("genmesh --out <directory>")
+@example(command=PATH_COMMANDS[1], name="").via("stretch-test --out <directory>")
+@example(command=PATH_COMMANDS[2], name="").via("lame --spec <directory>")
+def test_unusable_path_fuzz(command, name):
+    # "" names the temporary directory itself; "missing/x" has no parent
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = run(list(command) + [Path(tmp, name)])
+    assert code == 2 and err.startswith("error: "), err

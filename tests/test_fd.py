@@ -4,8 +4,10 @@ and the stacked stencil against a per-point oracle."""
 import numpy as np
 import pytest
 
-from stretchlab.fd import fd_gradient, fd_hessian
+from stretchlab.fd import fd_hessian
 from stretchlab.materials import make_material, sample_params
+
+from fd_oracle import fd_gradient
 
 
 def cubic(s):

@@ -15,7 +15,9 @@ from stretchlab.fem import (
     read_mesh,
     write_mesh,
 )
+from stretchlab.fem.assembly import free_dof_indices
 from stretchlab.fem.mesh import _CELL_TETS, _connected
+from stretchlab.fem.solver import QuasiStaticResult, reaction_force
 
 
 def test_unit_cube_resolution_one():
@@ -212,3 +214,28 @@ def test_mesh_with_an_unused_vertex_is_rejected():
     mesh = generate_mesh("cube", 2)
     with pytest.raises(ValueError, match="not connected"):
         TetMesh(vertices=np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), tets=mesh.tets)
+
+
+def test_boundary_array_code_matches_loops():
+    # the boundary code indexes by np.nonzero(coords); the loops walk the
+    # vertices, and a repeated vertex takes the last write, ORs its masks
+    # and counts twice in a sum
+    mesh = generate_mesh("cube", 2)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        verts = rng.integers(0, mesh.num_vertices, size=12)
+        bc = BoundaryCondition(verts, rng.normal(size=(12, 3)), rng.random((12, 3)) < 0.5)
+        x = rng.normal(size=(mesh.num_vertices, 3))
+        want = x.copy()
+        for v, p, m in zip(bc.vertices, bc.positions, bc.coords):
+            want[v][m] = p[m]
+        assert np.array_equal(bc.apply(x), want)
+        mask = np.ones(3 * mesh.num_vertices, dtype=bool)
+        for v, m in zip(bc.vertices, bc.coords):
+            mask[3 * v : 3 * v + 3] &= ~m
+        assert np.array_equal(free_dof_indices(mesh, bc), np.nonzero(mask)[0])
+        result = QuasiStaticResult(x, rng.normal(size=3 * mesh.num_vertices), 0.0, 0)
+        total = np.zeros(3)
+        for v in verts:
+            total += result.force[3 * v : 3 * v + 3]
+        assert np.array_equal(reaction_force(result, verts), total)

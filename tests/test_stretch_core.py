@@ -1,5 +1,7 @@
 """Rotation-variant SVD: reconstruction, sign convention, equivariance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,21 @@ def random_rotation(rng):
     return q
 
 
+PERMUTATIONS = [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
+
+
+def tied_matrices():
+    """The 1,152 matrices P1 diag(signs * s) P2 with two or three equal |s_i|."""
+    for s in ((1.2, 1.2, 0.9), (0.9, 0.9, 1.3), (1.1, 1.1, 1.1), (1.3, 0.8, 0.8)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            for P1, P2 in itertools.product(PERMUTATIONS, repeat=2):
+                yield P1 @ np.diag(np.multiply(signs, s)) @ P2
+
+
 def test_reconstruction_and_rotation_determinants():
     rng = np.random.default_rng(12345)
-    for _ in range(1000):
-        F = rng.uniform(-2.0, 2.0, size=(3, 3))
+    random = (rng.uniform(-2.0, 2.0, size=(3, 3)) for _ in range(1000))
+    for F in itertools.chain(random, tied_matrices()):
         svd = decompose(F)
         assert np.linalg.det(svd.U) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.det(svd.V) == pytest.approx(1.0, abs=1e-10)
@@ -34,6 +47,16 @@ def test_reconstruction_and_rotation_determinants():
         assert np.max(np.abs(reconstruct(svd) - F)) < 1e-12 * max(
             1.0, np.max(np.abs(F))
         )
+
+
+def test_tie_rule_factors_at_two_equal_stretches():
+    # the tie rule exchanges the first two columns, since V's first column
+    # (0, 1, 0) orders before its second (1, 0, 0), and negates the second
+    # exchanged column of U and V, so both stay rotations
+    svd = decompose(np.diag([1.2, 1.2, 0.9]))
+    assert np.array_equal(svd.U, np.diag([1.0, -1.0, -1.0]))
+    assert np.array_equal(svd.V, np.diag([1.0, -1.0, -1.0]))
+    assert np.array_equal(svd.sigma, [1.2, 1.2, 0.9])
 
 
 def test_identity_decomposition():
