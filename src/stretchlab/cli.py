@@ -108,11 +108,11 @@ def cmd_stretch_test(args):
     model = _load_spec(args)
     if not 0.0 < args.dmin <= 1.0 <= args.dmax < math.inf:
         raise InvalidParameterError("require 0 < dmin <= 1 <= dmax < inf")
-    if args.steps < 1:
-        raise InvalidParameterError(f"require steps >= 1, got {args.steps}")
+    if min(args.steps, args.n) < 1:  # every argument is checked before --out is opened
+        raise InvalidParameterError(f"require steps >= 1 and n >= 1, got {args.steps}, {args.n}")
     distances = np.linspace(args.dmin, args.dmax, args.steps)
-    rows, skipped = stretch_curve(model, args.n, distances, slide=args.slide)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w") as fh:  # an unusable path fails before the first solve
+        rows, skipped = stretch_curve(model, args.n, distances, slide=args.slide)
         fh.write("distance,force\n")
         for d, f in rows:
             fh.write(f"{d:.17g},{f:.17g}\n")

@@ -226,16 +226,22 @@ def stress_jacobian_from_svd(svd, grad, hess, project=False):
     return M + (np.swapaxes(modes, -1, -2) * eig[..., None, :]) @ modes
 
 
+def _element_values(mesh, material, positions, order):
+    """The element SVDs at the positions, and the energy and its first ``order``
+    stretch derivatives on their stretches; InvertedElementError out of domain."""
+    svd = mesh.basis.element_svds(positions)
+    evaluate = (material.energy, material.gradient, material.hessian)[: order + 1]
+    try:
+        return svd, [f(svd.sigma) for f in evaluate]
+    except DomainViolationError as err:
+        raise InvertedElementError(err.index, str(err)) from err
+
+
 @np.errstate(all="ignore")  # overflow gives inf or NaN; the callers reject it
 def total_energy(mesh, material, positions):
     """Total elastic energy; raises InvertedElementError out of domain."""
-    basis = mesh.basis
-    svd = basis.element_svds(positions)
-    try:
-        psi = material.energy(svd.sigma)
-    except DomainViolationError as err:
-        raise InvertedElementError(err.index, str(err)) from err
-    return float(basis.volumes @ psi)
+    _, (psi,) = _element_values(mesh, material, positions, 0)
+    return float(mesh.basis.volumes @ psi)
 
 
 def lumped_mass(mesh):
@@ -276,13 +282,7 @@ def assemble(mesh, material, positions=None, project=False):
     """
     basis = mesh.basis
     ndof = 3 * mesh.num_vertices
-    svd = basis.element_svds(positions)
-    try:
-        psi = material.energy(svd.sigma)
-        g = material.gradient(svd.sigma)
-        H = material.hessian(svd.sigma)
-    except DomainViolationError as err:
-        raise InvertedElementError(err.index, str(err)) from err
+    svd, (psi, g, H) = _element_values(mesh, material, positions, 2)
     ok = np.isfinite(g).all(axis=-1) & np.isfinite(H).all(axis=(-2, -1))
     if not ok.all():
         raise InvertedElementError(int(np.argmin(ok)), f"{material.family}: stress not finite")

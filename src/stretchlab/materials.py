@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolationError, InvalidParameterError, UnreachableTargetError
-from .profiles import Profile, get_profile, half_square
+from .profiles import X_MINUS_1, Profile, get_profile, half_square, plus, power, scaled
 from .terms import HillCoupling, Pair, Product, Separable, Volumetric
 
 __all__ = [
@@ -191,9 +191,8 @@ class MaterialModel:
         return self._evaluate(s, 1)
 
     def hessian(self, s):
-        """Symmetric stretch Hessian, shape (3, 3) or (..., 3, 3)."""
-        H = self._evaluate(s, 2)
-        return 0.5 * (H + H.swapaxes(-1, -2))
+        """Stretch Hessian, shape (3, 3) or (..., 3, 3), symmetric to the last bit."""
+        return self._evaluate(s, 2)
 
     def lame_closed_form(self) -> Optional[tuple]:
         """Table closed form (lambda_lame, mu_lame), or None if unknown."""
@@ -229,14 +228,11 @@ def stack(models):
 # ---------------------------------------------------------------------------
 # Family profiles and term builders
 
-_LINEAR = Profile("x_minus_1", lambda x: x - 1.0, lambda x: 0.0 * x + 1.0, lambda x: 0.0 * x)
 _SQUARE = get_profile("scaled:2:j_minus_1_sq")  # (x - 1)^2
-_SQ_MINUS_1 = Profile("x^2-1", lambda x: x * x - 1.0, lambda x: 2.0 * x, lambda x: 0.0 * x + 2.0)
+_SQ_MINUS_1 = scaled(2.0, power(2.0))  # x^2 - 1
 _LOG = get_profile("log")
-_INVERSE = Profile("1_minus_1/x", lambda x: 1.0 - 1.0 / x, lambda x: x**-2, lambda x: -2.0 * x**-3)
-_SYM_DIRICHLET = half_square(
-    Profile("x_minus_1/x", lambda x: x - 1.0 / x, lambda x: 1.0 + x**-2, lambda x: -2.0 * x**-3)
-)
+_INVERSE = power(-1.0)  # 1 - 1/x
+_SYM_DIRICHLET = half_square(plus(X_MINUS_1, _INVERSE))  # (x - 1/x)^2 / 2
 _QUARTIC = half_square(half_square(_SQ_MINUS_1))  # (x^2 - 1)^4 / 8
 # the constant +1 shifts the written form's rest energy -1 per stretch to zero
 _VL_STRETCH = Profile("x_log_x", lambda x: x * (np.log(x) - 1.0) + 1.0, np.log, lambda x: 1.0 / x)
@@ -250,7 +246,7 @@ _PENG_LANDEL = Profile(
 # the J-terms of the neo-Hookean variants
 _LOG_J = Separable(_LOG)  # sum_i log l_i = log J
 _LOG_J_SQ = HillCoupling(_LOG)  # (sum_i log l_i)^2 = log^2 J
-_J_MINUS_1 = Volumetric(_LINEAR)
+_J_MINUS_1 = Volumetric(X_MINUS_1)
 _J_MINUS_1_SQ = Volumetric(_SQUARE)
 
 
@@ -262,18 +258,10 @@ _J_MINUS_1_SQ = Volumetric(_SQUARE)
 @functools.lru_cache(maxsize=16)
 def _sym_power(a):
     """(x^a - x^-a) / (2a), the symmetric Seth-Hill strain."""
-    return Profile(
-        f"sym_power:{a:g}",
-        lambda x: (x**a - x**-a) / (2.0 * a),
-        lambda x: (x ** (a - 1.0) + x ** (-a - 1.0)) / 2.0,
-        lambda x: ((a - 1.0) * x ** (a - 2.0) - (a + 1.0) * x ** (-a - 2.0)) / 2.0,
-    )
+    return scaled(0.5, plus(power(a), power(-a)))
 
 
-@functools.lru_cache(maxsize=16)
-def _ogden_power(a):
-    """The Ogden profile power:<a>."""
-    return get_profile(f"power:{a!r}")
+_ogden_power = functools.lru_cache(maxsize=16)(power)  # the Ogden profiles power:<a>
 
 
 def _j_power(p):
@@ -467,15 +455,15 @@ _WITH_ALPHA = dict(_MU_LAM, alpha="dimensionless, nonzero")
 _WELL = "profile name (well contract)"
 
 _FAMILIES = {
-    "linear_corotational": _Family(_MU_LAM, lambda p: _hill(p, _LINEAR), domain="unrestricted"),
+    "linear_corotational": _Family(_MU_LAM, lambda p: _hill(p, X_MINUS_1), domain="unrestricted"),
     # Seth-Hill at alpha = 2: the corotational list, filtered
     "st_venant_kirchhoff": _Family(
-        _MU_LAM, lambda p: _hill(p, _LINEAR, 2.0), domain="unrestricted"
+        _MU_LAM, lambda p: _hill(p, X_MINUS_1, 2.0), domain="unrestricted"
     ),
     "hencky": _Family(_MU_LAM, lambda p: _hill(p, _LOG)),
     "seth_hill": _Family(
         _WITH_ALPHA,
-        lambda p: _hill(p, _LINEAR, _exponent(p)),
+        lambda p: _hill(p, X_MINUS_1, _exponent(p)),
         **_held("alpha", _draw_exponent, 1.0),
     ),
     "symmetric_seth_hill": _Family(
@@ -563,7 +551,7 @@ _FAMILIES = {
     # mu/2 sum ((l_i - 1)^2 + (1 - 1/l_i)^2)
     "symmetric_arap": _Family(
         {"mu": "Pa"},
-        lambda p: [(float(p["mu"]), 1.0, Separable(half_square(f))) for f in (_LINEAR, _INVERSE)],
+        lambda p: [(float(p["mu"]), 1.0, Separable(half_square(f))) for f in (X_MINUS_1, _INVERSE)],
         lame=lambda p: (0.0, float(p["mu"])),
         sample=lambda rng, mu, lam, _: {"mu": mu},
         inverse=lambda lam, mu, base: {"mu": mu},

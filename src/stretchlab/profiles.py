@@ -7,6 +7,18 @@ parameterize the Hill and Valanis-Landel families. The families' profiles
 ship as a named registry (rather than arbitrary callables) so config
 files and the CLI can refer to them by string.
 
+Six primitives write out their (value, d1, d2): ``X_MINUS_1`` (x - 1),
+``log`` and ``power`` here, and in ``materials`` the volume power x^p,
+the Valanis-Landel x log x - x + 1 and the Peng-Landel series. Every
+other profile is built from them by three chain rules, each written once:
+
+- ``scaled(c, f)``    c f
+- ``plus(f, g)``      f + g
+- ``half_square(f)``  (1/2) f^2
+
+x - 1 is not power(1), whose d2 is 0 x^-1: NaN at x = 0, which the
+volume J of the unrestricted families can reach.
+
 Naming scheme
 -------------
 ``log``                log(x)                       (Hill contract)
@@ -23,14 +35,14 @@ f(1) = 0 and f'(1) = 0; all built-in well shapes have f''(1) = 1 so a
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["Profile", "get_profile", "half_square"]
+__all__ = ["Profile", "get_profile", "half_square", "scaled", "plus", "power", "X_MINUS_1"]
 
 _CONTRACT_TOL = 1e-10
 
@@ -71,35 +83,37 @@ class Profile:
         )
 
 
-# the parameter-free profiles, built once, so that terms over one of them
-# share one object
-_FIXED = {
-    p.name: p
-    for p in (
-        Profile("log", np.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2),
-        Profile(
-            "log_sq",
-            lambda x: 0.5 * np.log(x) ** 2,
-            lambda x: np.log(x) / x,
-            lambda x: (1.0 - np.log(x)) / x**2,
-        ),
-        Profile(
-            "j_minus_1_sq",
-            lambda x: 0.5 * (x - 1.0) ** 2,
-            lambda x: x - 1.0,
-            lambda x: 0.0 * x + 1.0,
-        ),
-        Profile(
-            "stretch_well",
-            lambda x: x - 1.0 - np.log(x),
-            lambda x: 1.0 - 1.0 / x,
-            lambda x: 1.0 / x**2,
-        ),
+def half_square(base):
+    """The profile (1/2) base(x)^2.
+
+    It is built once per base and kept on the base, so two terms over one
+    base share it, and it lives no longer than the base.
+    """
+    return base._half_square
+
+
+def scaled(c, f):
+    """The profile c f(x)."""
+    return Profile(
+        f"scaled:{c:.17g}:{f.name}",
+        lambda x: c * f.value(x),
+        lambda x: c * f.d1(x),
+        lambda x: c * f.d2(x),
     )
-}
 
 
-def _power_profile(beta):
+def plus(f, g):
+    """The profile f(x) + g(x)."""
+    return Profile(
+        f"{f.name}+{g.name}",
+        lambda x: f.value(x) + g.value(x),
+        lambda x: f.d1(x) + g.d1(x),
+        lambda x: f.d2(x) + g.d2(x),
+    )
+
+
+def power(beta):
+    """The profile (x^beta - 1) / beta, registry name ``power:<beta>``."""
     if beta == 0.0:
         raise InvalidParameterError("power profile exponent must be nonzero")
     return Profile(
@@ -110,29 +124,20 @@ def _power_profile(beta):
     )
 
 
-def _power_well_profile(beta):
-    if beta == 0.0:
-        raise InvalidParameterError("power_well profile exponent must be nonzero")
-    well = half_square(_power_profile(beta))
-    return Profile(f"power_well:{beta:g}", well.value, well.d1, well.d2)
+X_MINUS_1 = Profile("x_minus_1", lambda x: x - 1.0, lambda x: 0.0 * x + 1.0, lambda x: 0.0 * x)
+_LOG = Profile("log", np.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2)
 
-
-def half_square(base):
-    """The profile (1/2) base(x)^2.
-
-    It is built once per base and kept on the base, so two terms over one
-    base share it, and it lives no longer than the base.
-    """
-    return base._half_square
-
-
-def _scaled_profile(c, inner):
-    return Profile(
-        f"scaled:{c:.17g}:{inner.name}",
-        lambda x: c * inner.value(x),
-        lambda x: c * inner.d1(x),
-        lambda x: c * inner.d2(x),
+# the parameter-free profiles, built once, so that terms over one of them
+# share one object
+_FIXED = {
+    p.name: p
+    for p in (
+        _LOG,
+        replace(half_square(_LOG), name="log_sq"),
+        replace(half_square(X_MINUS_1), name="j_minus_1_sq"),
+        replace(plus(X_MINUS_1, scaled(-1.0, _LOG)), name="stretch_well"),
     )
+}
 
 
 def get_profile(name):
@@ -151,14 +156,17 @@ def get_profile(name):
     if name in _FIXED:
         return _FIXED[name]
     if name.startswith("power_well:"):
-        return _power_well_profile(_parse_float(name, name.split(":", 1)[1]))
+        beta = _parse_float(name, name.split(":", 1)[1])
+        if beta == 0.0:
+            raise InvalidParameterError("power_well profile exponent must be nonzero")
+        return replace(half_square(power(beta)), name=f"power_well:{beta:g}")
     if name.startswith("power:"):
-        return _power_profile(_parse_float(name, name.split(":", 1)[1]))
+        return power(_parse_float(name, name.split(":", 1)[1]))
     if name.startswith("scaled:"):
         parts = name.split(":", 2)
         if len(parts) != 3:
             raise InvalidParameterError(f"malformed scaled profile name '{name}'")
-        return _scaled_profile(_parse_float(name, parts[1]), get_profile(parts[2]))
+        return scaled(_parse_float(name, parts[1]), get_profile(parts[2]))
     raise InvalidParameterError(f"unknown profile '{name}'")
 
 

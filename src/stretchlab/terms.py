@@ -148,4 +148,5 @@ class Product:
     def hess(self, x):
         va, vb = _lift(self.a.value(x), 2), _lift(self.b.value(x), 2)
         cross = _outer(self.a.grad(x), self.b.grad(x))
-        return self.a.hess(x) * vb + cross + cross.swapaxes(-1, -2) + va * self.b.hess(x)
+        # cross + cross^T as one sum: every entry rounds as its mirror does
+        return self.a.hess(x) * vb + (cross + cross.swapaxes(-1, -2)) + va * self.b.hess(x)

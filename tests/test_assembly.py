@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from stretchlab.compose import augment_volumetric
 from stretchlab.errors import InvertedElementError
 from stretchlab.fem import TetMesh, assemble, generate_mesh
 from stretchlab.fem.assembly import (
@@ -13,8 +14,9 @@ from stretchlab.fem.assembly import (
     total_energy,
 )
 from stretchlab.filtering import filter_nonlinearity
-from stretchlab.lame import extract_lame
+from stretchlab.lame import IsotropicModuli, extract_lame, moduli_to_lame
 from stretchlab.materials import catalog_families, make_material, sample_params
+from stretchlab.specs import build_material
 from stretchlab.stretch_core import RotationVariantSVD, assemble_pk1, decompose
 
 MATERIALS = (
@@ -129,6 +131,29 @@ def test_stress_jacobian_matches_fd_at_near_equal_stretches_over_the_catalog(fam
     for label, model in models.items():
         for gap in (1e-9, 1e-6, 1e-3):
             check_near_equal_stretches(model, family + label, gap)
+
+
+def _svk_with_j_minus_1_sq(alpha_mu):
+    return build_material({"combine": {
+        "mu_part": {"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}},
+        "lambda_part": "j_minus_1_sq", "E": 2.0e5, "nu": 0.3, "alpha_mu": alpha_mu,
+    }})
+
+
+COMPOSED = {
+    "combine:svk+j_minus_1_sq:alpha_mu=0.2": lambda: _svk_with_j_minus_1_sq(0.2),
+    "combine:svk+j_minus_1_sq:alpha_mu=4": lambda: _svk_with_j_minus_1_sq(4.0),
+    "augment_volumetric:arap": lambda: augment_volumetric(
+        make_material("arap"), moduli_to_lame(IsotropicModuli(2.0e5, 0.3))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMPOSED)
+def test_stress_jacobian_matches_fd_at_near_equal_stretches_of_composed_materials(name):
+    model = COMPOSED[name]()
+    for gap in (1e-9, 1e-6, 1e-3):
+        check_near_equal_stretches(model, name, gap)
 
 
 # gaps on both sides of the flip-mode switch, from the l'Hopital branch to the quotient

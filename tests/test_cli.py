@@ -731,6 +731,24 @@ def test_stretch_test_rejects_zero_steps(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_stretch_test_rejects_zero_resolution_before_opening_out(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, _, err = run(capsys, "stretch-test", "--family", "arap", "--n", "0",
+                       "--out", str(out_path))
+    assert code == 2 and "n >= 1" in err
+    assert not out_path.exists()
+
+
+def test_stretch_test_opens_out_before_the_first_solve(capsys, tmp_path, monkeypatch):
+    # an output path that cannot be written fails before any work is done
+    def no_solve(*args, **kwargs):
+        raise AssertionError("stretch_curve ran before --out was opened")
+
+    monkeypatch.setattr(stretchlab.cli, "stretch_curve", no_solve)
+    code, _, err = run(capsys, "stretch-test", "--family", "arap", "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("seed", [*range(20), 97, 176, 180, 497])
 def test_verify_table_seeds_pass(seed):
     ok, report = verify_table(seed=seed)

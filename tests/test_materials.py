@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stretchlab.compose import SEPARABLE_FAMILIES, LinearCombination, combine
+from stretchlab.compose import decompose as decompose_energy
 from stretchlab.errors import DomainViolationError, InvalidParameterError
 from stretchlab.fd import fd_hessian
+from stretchlab.filtering import filter_nonlinearity
 import stretchlab.materials
-from stretchlab.lame import extract_lame
+from stretchlab.lame import LameParams, extract_lame
 from stretchlab.materials import (
     REST_STABILITY_RTOL,
     MaterialModel,
@@ -18,6 +21,7 @@ from stretchlab.materials import (
     list_catalog,
     make_material,
     sample_params,
+    stack,
 )
 
 from fd_oracle import fd_gradient
@@ -362,3 +366,37 @@ def test_a_coefficient_that_overflows_is_rejected():
     # the shear entry of hencky has the coefficient 2 mu
     with pytest.raises(InvalidParameterError, match="coefficient inf is not finite"):
         make_material("hencky", {"mu": 1e308, "lam": 1.0})
+
+
+def _tie_triples(rng):
+    """Stretch triples, a third of them with two or three exactly equal entries."""
+    s = rng.uniform(0.3, 3.0, (30, 3))
+    s[:5, 1] = s[:5, 0]
+    s[5:10, 2] = s[5:10, 1]
+    s[10:14] = s[10:14, :1]
+    s[14] = 1.0
+    return s
+
+
+@pytest.mark.parametrize("family", catalog_families())
+def test_hessian_is_bitwise_symmetric(family):
+    # every term Hessian is symmetric by construction, so the material's is
+    # too, with no symmetrizing step: plain, filtered, composed and stacked
+    rng = np.random.default_rng(zlib.crc32(f"hessian symmetry:{family}".encode()))
+    draws = [make_material(family, sample_params(family, rng, rest_stable=bool(i % 2)))
+             for i in range(4)]
+    models = []
+    for m in draws:
+        models += [m, filter_nonlinearity(m, 0.2), filter_nonlinearity(m, 4.0),
+                   LinearCombination([(0.5, m), (2.0, filter_nonlinearity(m, 4.0))])]
+    if family in SEPARABLE_FAMILIES:
+        lam_part, mu_part = decompose_energy(family, draws[1].params)
+        models.append(combine(mu_part, lam_part, LameParams(2.0, 1.0), alpha_mu=0.2,
+                              alpha_lambda=4.0))
+    s = _tie_triples(rng)
+    cases = [(m, s) for m in models] + [(m, row) for m in models for row in s[:15]]
+    cases += [(group, np.broadcast_to(s, (len(idx),) + s.shape))
+              for i in range(4) for idx, group in stack(models[i::4])]
+    for model, x in cases:
+        H = model.hessian(x)
+        assert np.array_equal(H, np.swapaxes(H, -1, -2)), (model.family, x)
