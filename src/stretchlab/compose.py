@@ -20,10 +20,10 @@ nonzero Poisson's ratio.
 
 Every material is a flat list of (coef, alpha, term) entries (see
 ``materials``), so :func:`LinearCombination` and :func:`combine` return
-plain ``MaterialModel`` values whose lists are the concatenated lists of
-their operands, each coefficient scaled by the operand's weight and the
-entries that scale to exactly zero left out; neither evaluates anything
-itself.
+plain ``MaterialModel`` values whose lists merge their operands' lists:
+each (alpha, term) entry appears once, in first-seen order, with the sum
+of its coefficients scaled by the operands' weights, and a sum that is
+exactly zero is left out; neither evaluates anything itself.
 """
 
 from dataclasses import dataclass
@@ -164,14 +164,6 @@ def decompose(family, params):
     return lam_part, mu_part
 
 
-def _as_part(part, kind):
-    if isinstance(part, EnergyPart):
-        if part.kind != kind:
-            raise InvalidParameterError(f"expected a {kind}-part, got a {part.kind}-part")
-        return part
-    return EnergyPart(kind, part)
-
-
 def combine(mu_part, lambda_part, target, alpha_mu=1.0, alpha_lambda=1.0):
     """The ``composed`` material target.lambda * psi_lambda filtered at
     alpha_lambda + target.mu * psi_mu filtered at alpha_mu, whose
@@ -179,8 +171,9 @@ def combine(mu_part, lambda_part, target, alpha_mu=1.0, alpha_lambda=1.0):
 
     Parameters
     ----------
-    mu_part, lambda_part : EnergyPart or MaterialModel
-        Unit-coefficient parts (bare models are checked and wrapped).
+    mu_part, lambda_part : EnergyPart
+        Unit-coefficient parts of kind "mu" and "lambda"; anything else, a
+        bare model too (see ``unit_part``), raises InvalidParameterError.
     target : LameParams
         Lame parameters of the result.
     alpha_mu, alpha_lambda : float
@@ -188,8 +181,10 @@ def combine(mu_part, lambda_part, target, alpha_mu=1.0, alpha_lambda=1.0):
     """
     if target.mu_lame <= 0.0:
         raise InvalidParameterError(f"target mu_lame must be positive, got {target.mu_lame}")
-    mu_part = _as_part(mu_part, "mu")
-    lambda_part = _as_part(lambda_part, "lambda")
+    for part, kind in ((mu_part, "mu"), (lambda_part, "lambda")):
+        if not (isinstance(part, EnergyPart) and part.kind == kind):
+            got = f"a {part.kind}-part" if isinstance(part, EnergyPart) else type(part).__name__
+            raise InvalidParameterError(f"expected a {kind}-part, got {got}")
     parts = LinearCombination(
         [
             (target.lambda_lame, filter_nonlinearity(lambda_part.model, alpha_lambda)),

@@ -97,7 +97,7 @@ def modal_frequencies(mesh, material, bc, k):
     inv_sqrt_m = sparse.diags(1.0 / np.sqrt(mesh.basis.mass[free[perm]]))
     A = inv_sqrt_m @ K[perm][:, perm] @ inv_sqrt_m  # P A P^T
     upper = sparse.triu(A, format="coo")
-    b = int((upper.col - upper.row).max())
+    b = int((upper.col - upper.row).max(initial=0))  # 0 for an all-zero stiffness
     band = np.zeros((b + 1, n))
     band[b + upper.row - upper.col, upper.col] = upper.data
     tol = n * np.finfo(float).eps * band[b].max()

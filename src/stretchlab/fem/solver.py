@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, InvertedElementError
 from .assembly import assemble, free_dof_indices, total_energy
-from .mesh import BoundaryCondition, face_vertices, generate_mesh
+from .mesh import BoundaryCondition, edge_matrices, face_vertices, generate_mesh
 
 __all__ = ["QuasiStaticResult", "solve_quasistatic", "reaction_force", "stretch_curve"]
 
@@ -129,8 +129,7 @@ def _initial_guess(tets, path, d):
     if len(path) > 1 and path[-2][0] != d1:
         d0, x0 = path[-2]
         guess = x1 + (d - d1) / (d1 - d0) * (x1 - x0)
-        edges = guess[tets[:, 1:]] - guess[tets[:, :1]]
-        if np.all(np.linalg.det(edges) > 0.0):
+        if np.all(np.linalg.det(edge_matrices(guess, tets)) > 0.0):
             return guess
     guess = x1.copy()
     guess[:, 0] *= d / d1

@@ -49,7 +49,11 @@ def _richardson_stencil(coarse, fine):
     return points, weights
 
 
-# ``FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)`` is the fd rest Hessian
+# ``FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)`` is the fd rest Hessian: one
+# Richardson level over central differences, (4 H(h/2) - H(h)) / 3 at h = 1e-3, in one
+# energy call on the 38 points of both levels. The O(h^2) truncation cancels; the steps
+# are large because roundoff grows as eps / h^2 (at 2e-4 and 1e-4 a near-cancelling
+# Ogden draw lost 1.25e-5 of its Lame pair)
 FD_REST_POINTS, FD_REST_WEIGHTS = _richardson_stencil(1e-3, 5e-4)
 
 
@@ -69,38 +73,20 @@ class IsotropicModuli:
     nu: float
 
 
-def rest_hessian(model, method="analytic"):
-    """Stretch-Hessian of the energy at the rest triple (1, 1, 1).
-
-    ``method="fd"`` returns one Richardson level over central differences,
-    (4 H(h/2) - H(h)) / 3 with h = 1e-3, as one energy call on the 38
-    points of both levels, ``FD_REST_POINTS``, and one product with their
-    weights, ``FD_REST_WEIGHTS``, both built at import. The O(h^2)
-    truncation cancels; the steps are large because roundoff grows as
-    eps / h^2 (at 2e-4 and 1e-4 a near-cancelling Ogden draw lost 1.25e-5
-    of its Lame pair).
-    """
-    if method == "analytic":
-        return model.hessian(_REST)
-    if method == "fd":
-        with np.errstate(all="ignore"):  # overflow gives inf or NaN; the callers reject it
-            return FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)
-    raise InvalidParameterError(f"unknown extraction method '{method}'")
-
-
 @np.errstate(all="ignore")  # overflow gives inf or NaN; the callers reject it
 def extract_lame(model, method="analytic", allow_rest_stress=False):
-    """Extract (lambda_lame, mu_lame) from a material's rest Hessian.
+    """Extract (lambda_lame, mu_lame) from a material's rest Hessian; the
+    one function that turns a model into its Lame pair.
 
     Parameters
     ----------
     model : MaterialModel
     method : {"analytic", "fd"}
         ``analytic`` uses the family's closed form when available,
-        otherwise the analytic stretch-Hessian; ``fd`` differentiates the
-        energy directly (Richardson-extrapolated central differences at
-        steps 1e-3 and 5e-4 in one energy call, see ``rest_hessian``) and
-        is the authority when the two disagree.
+        otherwise ``model.hessian`` at rest; ``fd`` differentiates the
+        energy directly, ``FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS)``
+        (see ``FD_REST_POINTS``), and is the authority when the two
+        disagree. ``lame_from_hessian`` reads the pair off either Hessian.
     allow_rest_stress : bool
         Permit extraction from models with nonzero rest gradient (the
         Hessian-based definition is still evaluated formally, as the
@@ -111,6 +97,8 @@ def extract_lame(model, method="analytic", allow_rest_stress=False):
     ------
     RestInstabilityError
         If the model is not rest-stable and ``allow_rest_stress`` is off.
+    InvalidParameterError
+        For any other method.
     """
     if not allow_rest_stress and not model.rest_stable:
         g = model.gradient(_REST)
@@ -122,7 +110,10 @@ def extract_lame(model, method="analytic", allow_rest_stress=False):
         closed = model.lame_closed_form()
         if closed is not None:
             return LameParams(float(closed[0]), float(closed[1]))
-    return lame_from_hessian(rest_hessian(model, method=method))
+        return lame_from_hessian(model.hessian(_REST))
+    if method == "fd":
+        return lame_from_hessian(FD_REST_WEIGHTS @ model.energy(FD_REST_POINTS))
+    raise InvalidParameterError(f"unknown extraction method '{method}'")
 
 
 def lame_from_hessian(H):

@@ -156,6 +156,30 @@ def test_stress_jacobian_matches_fd_at_near_equal_stretches_of_composed_material
         check_near_equal_stretches(model, name, gap)
 
 
+UNRESTRICTED = ("linear_corotational", "st_venant_kirchhoff", "stable_neo_hookean", "arap")
+
+
+@pytest.mark.parametrize("sigma", (1e-3, 1e-6))
+@pytest.mark.parametrize("family", UNRESTRICTED)
+def test_stress_jacobian_matches_fd_near_a_vanishing_stretch_sum(family, sigma):
+    # an inverted F whose stretches s_i and s_j = -(s_i - sigma) sum to sigma: the twist
+    # eigenvalue grows like 1 / sigma, so the fd step is 1e-3 sigma (the default 1e-6
+    # crosses the singularity at sigma = 1e-6) and the bound relative to the largest
+    # entry (worst 8.7e-7, SNH at sigma = 1e-6); at sigma = 1e-9 the oracle's own
+    # roundoff reaches 3e-3 of it
+    params = sample_params(family, np.random.default_rng(0), rest_stable=True)
+    model = make_material(family, params)
+    assert model.domain == "unrestricted"
+    rng = np.random.default_rng(zlib.crc32(f"{family}:{sigma!r}".encode()))
+    for _ in range(4):
+        s = rng.uniform(0.7, 1.4)
+        stretches = rng.permutation([s, sigma - s, rng.uniform(0.7, 1.4)])
+        F = random_rotation(rng) @ np.diag(stretches) @ random_rotation(rng).T
+        A = element_stress_jacobian(model, F)
+        B = fd_stress_jacobian(model, F, h=1e-3 * sigma)
+        assert np.max(np.abs(A - B)) <= 1e-4 * np.max(np.abs(A)), (family, sigma)
+
+
 # gaps on both sides of the flip-mode switch, from the l'Hopital branch to the quotient
 FLIP_GAPS = (1e-10, 1e-9, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 5e-3)
 

@@ -146,6 +146,18 @@ def test_lame_reports_a_moduli_error_with_null_moduli(capsys):
     assert data["mu_lame"] == -2.0
 
 
+def test_lame_reports_a_degenerate_denominator_as_a_moduli_error(capsys):
+    # Stable Neo-Hookean at lam = 0 extracts to (lam - mu, mu) = (-1, 1): lambda + mu = 0
+    code, out, _ = run(
+        capsys, "lame", "--family", "stable_neo_hookean", "--params", '{"mu": 1.0, "lam": 0.0}'
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["E"] is None and data["nu"] is None
+    assert data["moduli_error"] == "degenerate denominator lambda_lame + mu_lame = 0"
+    assert (data["lambda_lame"], data["mu_lame"]) == (-1.0, 1.0)
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "lame", "--family", "no_such_family")
     assert code == 2
@@ -531,6 +543,37 @@ def test_modes_rejects_a_stiffness_that_is_not_finite(capsys, tmp_path):
     spec.write_text(json.dumps({"family": "hencky", "params": {"mu": 1e307, "lam": 1.0}}))
     code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
     assert code == 2 and out == "" and "not positive definite" in err
+
+
+def test_modes_puts_an_overflowing_rest_stress_hessian_out_of_domain(capsys, tmp_path):
+    # H_ii = 2 mu + lam = 1.8e308 at rest is inf, so main's "out of domain" branch exits 3
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({"family": "hencky", "params": {"mu": 5e307, "lam": 8e307}}))
+    code, out, err = run(capsys, "modes", "--spec-a", str(spec), "--spec-b", str(spec), "--n", "1")
+    assert code == 3 and out == ""
+    assert err == "out of domain: element 0: hencky: stress not finite\n"
+
+
+# materials whose every coefficient is 0, so the rest stiffness is all zero
+ZERO_SPECS = (
+    {"family": "valanis_landel_new",
+     "params": {"f": "scaled:0:stretch_well", "h": "scaled:0:log_sq"}},
+    {"family": "valanis_landel_xu",
+     "params": {"f": "scaled:0:stretch_well", "g": "scaled:0:stretch_well",
+                "h": "scaled:0:log_sq"}},
+)
+
+
+@pytest.mark.parametrize("zero", ZERO_SPECS, ids=lambda spec: spec["family"])
+def test_modes_rejects_an_all_zero_rest_stiffness(capsys, tmp_path, zero):
+    # its band is empty; the band Cholesky then rejects the first pivot
+    spec_a, spec_b = tmp_path / "a.json", tmp_path / "b.json"
+    spec_a.write_text(json.dumps(zero))
+    spec_b.write_text(json.dumps({"family": "arap"}))
+    for a, b in ((spec_a, spec_b), (spec_b, spec_a)):
+        code, out, err = run(capsys, "modes", "--spec-a", str(a), "--spec-b", str(b), "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: rest stiffness on the free coordinates is not positive definite")
 
 
 @pytest.mark.parametrize(

@@ -138,10 +138,16 @@ def test_normalize_fuzz(family, E, nu, data):
     "a filter exponent whose square is 0.0"
 )
 @example(
-    spec_a={"family": "hencky", "params": {"mu": 5e307, "lam": 1.0}},
-    spec_b={"family": "hencky", "params": {"mu": 5e307, "lam": 1.0}},
+    spec_a={"family": "hencky", "params": {"mu": 5e307, "lam": 8e307}},
+    spec_b={"family": "hencky", "params": {"mu": 5e307, "lam": 8e307}},
     k=6,
 ).via("a rest stress Hessian that overflows")
+@example(
+    spec_a={"family": "valanis_landel_new",
+            "params": {"f": "scaled:0:stretch_well", "h": "scaled:0:log_sq"}},
+    spec_b={"family": "arap"},
+    k=3,
+).via("a rest stiffness that is all zero")
 def test_modes_fuzz(spec_a, spec_b, k):
     with tempfile.TemporaryDirectory() as tmp:
         path_a, path_b = Path(tmp, "a.json"), Path(tmp, "b.json")

@@ -211,6 +211,22 @@ def test_combine_requires_positive_mu():
         combine(mu_part, lam_part, LameParams(1.0, -1.0))
 
 
+def test_combine_takes_only_energy_parts_of_their_kind():
+    lam_part, mu_part = decompose("hencky", {"mu": 1.0, "lam": 1.0})
+    bare = make_material("hencky", {"mu": 1.0, "lam": 0.0})  # a unit mu-part's model
+    cases = (
+        ((bare, lam_part), "expected a mu-part, got MaterialModel"),
+        ((mu_part, bare), "expected a lambda-part, got MaterialModel"),
+        ((lam_part, lam_part), "expected a mu-part, got a lambda-part"),
+        ((mu_part, mu_part), "expected a lambda-part, got a mu-part"),
+    )
+    for parts, message in cases:
+        with pytest.raises(InvalidParameterError) as excinfo:
+            combine(*parts, LameParams(1.0, 1.0))
+        assert str(excinfo.value) == message
+    combine(EnergyPart("mu", bare), lam_part, LameParams(1.0, 1.0))
+
+
 def test_linear_combination_derivatives():
     a = make_material("hencky", {"mu": 1.0, "lam": 0.0})
     b = make_material("st_venant_kirchhoff", {"mu": 0.5, "lam": 1.0})

@@ -73,6 +73,28 @@ def test_rest_boundary_conditions_converge_immediately():
     assert np.max(np.abs(result.positions - mesh.vertices)) < 1e-12
 
 
+def test_newton_regularizes_a_step_whose_solve_fails(monkeypatch):
+    # the first Newton solve raises as on a singular stiffness; the retry on
+    # K + reg I, reg = 1e-10 trace(K) / n, reaches the same equilibrium
+    mesh = generate_mesh("cube", 2)
+    model = make_material(*SNH)
+    bc, _, _ = clamp_both_x_faces(mesh, 1.2)
+    plain = solve_quasistatic(mesh, model, bc)
+    solve, calls = np.linalg.solve, []
+
+    def fail_first(a, b):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_first)
+    result = solve_quasistatic(mesh, model, bc)
+    assert len(calls) == plain.iterations + 1 and calls[0] == calls[1]
+    assert result.iterations == plain.iterations
+    assert np.max(np.abs(result.positions - plain.positions)) < 1e-9
+
+
 def test_stretch_solve_equilibrium_and_reaction():
     mesh = generate_mesh("cube", 2)
     model = make_material(*SNH)
