@@ -3,8 +3,9 @@
 Every energy is a symmetric function of the three principal stretches l.
 A :class:`MaterialModel` is a flat list of ``(coef, alpha, term)`` entries
 with energy sum coef * term(l^alpha) / alpha^2, where a term is one of the
-kinds of ``terms`` (separable, volumetric, Hill coupling, pair, and the
-product that gives Mooney-Rivlin). The exponent alpha is the nonlinearity
+kinds of ``terms`` (``Separable``, ``Volumetric``, ``Pair`` and their
+``Product``, which gives the Hill coupling (sum_i f(l_i))^2 as
+``Product(s, s)`` and Mooney-Rivlin). The exponent alpha is the nonlinearity
 filter, so filtering, combining and composing materials only rewrite the
 list, and the chain rule of the filter lives in one place,
 ``MaterialModel._evaluate``. Seth-Hill is the Linear Corotational list at
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DomainViolationError, InvalidParameterError, UnreachableTargetError
 from .profiles import X_MINUS_1, Profile, get_profile, half_square, plus, power, scaled
-from .terms import HillCoupling, Pair, Product, Separable, Volumetric
+from .terms import Pair, Product, Separable, Volumetric
 
 __all__ = [
     "MaterialModel",
@@ -245,7 +246,7 @@ _PENG_LANDEL = Profile(
 )
 # the J-terms of the neo-Hookean variants
 _LOG_J = Separable(_LOG)  # sum_i log l_i = log J
-_LOG_J_SQ = HillCoupling(_LOG)  # (sum_i log l_i)^2 = log^2 J
+_LOG_J_SQ = Product(_LOG_J, _LOG_J)  # (sum_i log l_i)^2 = log^2 J
 _J_MINUS_1 = Volumetric(X_MINUS_1)
 _J_MINUS_1_SQ = Volumetric(_SQUARE)
 
@@ -277,9 +278,10 @@ _J_FOUR_THIRDS = _j_power(-4.0 / 3.0)
 
 def _hill(p, f, alpha=1.0):
     """mu sum f(l_i)^2 + lam/2 (sum f(l_i))^2, at filter exponent alpha."""
+    s = Separable(f)
     return [
         (2.0 * float(p["mu"]), alpha, Separable(half_square(f))),
-        (0.5 * float(p["lam"]), alpha, HillCoupling(f)),
+        (0.5 * float(p["lam"]), alpha, Product(s, s)),
     ]
 
 
@@ -408,7 +410,7 @@ def _ogden_draw(rng, mu, lam, rest_stable):
 
 def _ogden_inverse(lam, mu, base):
     # the baseline terms, uniformly scaled; the exponents are held
-    terms = [[float(m), float(a)] for m, a in base.get("terms", [[2.0, 2.0]])]
+    terms = [[float(m), float(a)] for m, a in base.get("terms", [[1.0, 2.0], [-1.0, -2.0]])]
     mu0 = _ogden_lame({"terms": terms})[1]
     if mu0 == 0.0:
         raise UnreachableTargetError("baseline ogden terms have zero mu_lame")
@@ -689,8 +691,10 @@ def normalize(family, target, baseline=None):
 
     Raises UnreachableTargetError when the closed form at the result misses
     the target by more than 1e-10 * max(1, |lambda_lame|, |mu_lame|), as for
-    a zero-lambda family asked for a nonzero lambda_lame, and
-    InvalidParameterError for a baseline value of the wrong type or shape.
+    a zero-lambda family asked for a nonzero lambda_lame, or when the result
+    carries a rest stress (Mooney-Rivlin off nu = 0.2), and
+    InvalidParameterError for a malformed baseline or a result that
+    ``make_material`` rejects.
     """
     row = _row(family)
     baseline = _record(family, baseline, "baseline")
@@ -699,13 +703,19 @@ def normalize(family, target, baseline=None):
         raise InvalidParameterError(f"target mu_lame must be positive, got {mu}")
     try:
         params = row.inverse(lam, mu, baseline)
-        got = row.lame(params)
     except (TypeError, ValueError) as err:
         raise InvalidParameterError(f"{family}: malformed baseline {baseline}: {err}") from None
+    model = make_material(family, params)
+    got = model.lame_closed_form()
     if max(abs(got[0] - lam), abs(got[1] - mu)) > 1e-10 * max(1.0, abs(lam), abs(mu)):
         raise UnreachableTargetError(
             f"{family} cannot reach (lambda_lame, mu_lame) = ({lam}, {mu}); its "
             f"parameters give ({got[0]}, {got[1]}). A family with lambda_lame "
             "identically 0 gets a volumetric part from the compose module"
+        )
+    if not model.rest_stable:
+        raise UnreachableTargetError(
+            f"{family} reaches (lambda_lame, mu_lame) = ({lam}, {mu}) only with a rest "
+            f"stress: the gradient of {params} at (1, 1, 1) is nonzero"
         )
     return params

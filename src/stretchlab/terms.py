@@ -3,18 +3,19 @@
 A term is a symmetric function of the three principal stretches l built
 on 1-D profiles (value, d1, d2; see ``profiles``). Its ``value``,
 ``grad`` and ``hess`` methods take the triple as ``x``, which is l itself
-or, under the nonlinearity filter, l^alpha. The four kinds are
+or, under the nonlinearity filter, l^alpha. The kinds are
 
-- ``Separable(w)``     sum_i w(l_i)
-- ``Volumetric(h)``    h(J), J = l_1 l_2 l_3
-- ``HillCoupling(f)``  (sum_i f(l_i))^2
-- ``Pair(g)``          sum_{i<j} g(l_i l_j)
+- ``Separable(w)``   sum_i w(l_i)
+- ``Volumetric(h)``  h(J), J = l_1 l_2 l_3
+- ``Pair(g)``        sum_{i<j} g(l_i l_j)
+- ``Product(a, b)``  a(l) b(l) for two terms
 
-and ``Product(a, b)`` of two terms, which gives the Mooney-Rivlin terms
-J^(-2k/3) (I_k - 3). Each rule is written once, with numpy over the last
-axis: ``x`` is one triple of shape (3,) or a stack of shape (..., 3), and
-``value``, ``grad`` and ``hess`` return shapes (...), (..., 3) and
-(..., 3, 3). Materials weight and filter terms (see ``materials``).
+The Hill coupling (sum_i f(l_i))^2 is ``Product(s, s)``, s = Separable(f),
+its one factor evaluated once; the Mooney-Rivlin terms J^(-2k/3) (I_k - 3)
+are products too. Each rule is written once, with numpy over the last
+axis: ``x`` is one triple (3,) or a stack (..., 3), and ``value``, ``grad``
+and ``hess`` return shapes (...), (..., 3) and (..., 3, 3). Materials
+weight and filter terms (see ``materials``).
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .profiles import Profile
 
-__all__ = ["Separable", "Volumetric", "HillCoupling", "Pair", "Product"]
+__all__ = ["Separable", "Volumetric", "Pair", "Product"]
 
 _EYE = np.eye(3)
 _OFF = 1.0 - _EYE
@@ -96,24 +97,6 @@ class Volumetric:
 
 
 @dataclass(frozen=True)
-class HillCoupling:
-    """(sum_i f(l_i))^2."""
-
-    f: Profile
-
-    def value(self, x):
-        return _total(self.f.value(x)) ** 2
-
-    def grad(self, x):
-        return 2.0 * _lift(_total(self.f.value(x))) * self.f.d1(x)
-
-    def hess(self, x):
-        fp = self.f.d1(x)
-        S = _lift(_total(self.f.value(x)), 2)
-        return 2.0 * (_outer(fp, fp) + S * _diag(self.f.d2(x)))
-
-
-@dataclass(frozen=True)
 class Pair:
     """sum_{i<j} g(l_i l_j)."""
 
@@ -133,20 +116,26 @@ class Pair:
 
 @dataclass(frozen=True)
 class Product:
-    """a(l) b(l) for two terms a and b."""
+    """a(l) b(l) for two terms a and b; a factor given twice (b is a) is evaluated once."""
 
     a: object
     b: object
 
+    def _factors(self, x, *kinds):
+        """The results of each kind ("value", "grad", "hess") of a and of b at x."""
+        ra = [getattr(self.a, kind)(x) for kind in kinds]
+        return ra, ra if self.b is self.a else [getattr(self.b, kind)(x) for kind in kinds]
+
     def value(self, x):
-        return self.a.value(x) * self.b.value(x)
+        (va,), (vb,) = self._factors(x, "value")
+        return va * vb
 
     def grad(self, x):
-        va, vb = _lift(self.a.value(x)), _lift(self.b.value(x))
-        return self.a.grad(x) * vb + va * self.b.grad(x)
+        (va, ga), (vb, gb) = self._factors(x, "value", "grad")
+        return ga * _lift(vb) + _lift(va) * gb
 
     def hess(self, x):
-        va, vb = _lift(self.a.value(x), 2), _lift(self.b.value(x), 2)
-        cross = _outer(self.a.grad(x), self.b.grad(x))
-        # cross + cross^T as one sum: every entry rounds as its mirror does
-        return self.a.hess(x) * vb + (cross + cross.swapaxes(-1, -2)) + va * self.b.hess(x)
+        (va, ga, Ha), (vb, gb, Hb) = self._factors(x, "value", "grad", "hess")
+        cross = _outer(ga, gb)
+        # mirrored products summed first: every entry rounds as its mirror does
+        return (Ha * _lift(vb, 2) + _lift(va, 2) * Hb) + (cross + cross.swapaxes(-1, -2))

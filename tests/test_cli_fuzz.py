@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import event, example, given, settings, strategies as st
 
 from stretchlab.cli import main
-from stretchlab.materials import catalog_families, sample_params
+from stretchlab.materials import catalog_families, make_material, sample_params
 
 EXITS = (0, 2, 3, 4)
 SPECIAL = [
@@ -122,14 +122,46 @@ def test_lame_fuzz(family, data, fd):
     E=st.one_of(st.floats(1.0, 1e9), NUMBERS),
     nu=st.one_of(st.floats(-0.9, 0.49), NUMBERS),
     data=st.data(),
+    baseline=st.none(),  # set by the examples; fuzzed baselines come from data
 )
-@example(family="hencky", E=1e308, nu=0.49999, data=None).via("an infinite lambda_lame")
-def test_normalize_fuzz(family, E, nu, data):
+@example(family="hencky", E=1e308, nu=0.49999, data=None, baseline=None).via(
+    "an infinite lambda_lame"
+)
+@example(family="hill", E=1.0, nu=0.3, data=None, baseline={"f": "power:0"}).via(
+    "a held profile that make_material rejects"
+)
+@example(family="hill", E=1.0, nu=0.3, data=None, baseline={"f": "stretch_well"}).via(
+    "a held profile off the Hill contract"
+)
+@example(family="seth_hill", E=1.0, nu=0.3, data=None, baseline={"alpha": 0}).via(
+    "a held exponent of zero"
+)
+@example(family="valanis_landel_xu", E=1.0, nu=0.3, data=None, baseline={"g": "log"}).via(
+    "a held pair profile off the well contract"
+)
+@example(family="mooney_rivlin", E=1.0, nu=0.3, data=None, baseline=None).via(
+    "a Mooney-Rivlin pair off nu = 0.2, reached only with a rest stress"
+)
+@example(family="ogden", E=1.0, nu=0.0, data=None, baseline=None).via(
+    "the default Ogden baseline"
+)
+def test_normalize_fuzz(family, E, nu, data, baseline):
     # "--E=-inf", since argparse reads a separate "-inf" as an option
     argv = ["normalize", "--family", family, f"--E={E!r}", f"--nu={nu!r}"]
-    if data is not None and data.draw(st.booleans()):
-        argv += ["--params", json.dumps(data.draw(params(family)))]
-    check_json(argv)
+    if baseline is None and data is not None and data.draw(st.booleans()):
+        baseline = data.draw(params(family))
+    if baseline is not None:
+        argv += ["--params", json.dumps(baseline)]
+    code, out, _ = run(argv)
+    if code != 0:
+        return
+    # the printed record builds a rest-stable model at the printed pair
+    report = json.loads(out, parse_constant=reject_constant)
+    model = make_material(family, report["params"])
+    assert model.rest_stable
+    lam, mu = report["lambda_lame"], report["mu_lame"]
+    got = model.lame_closed_form()
+    assert max(abs(got[0] - lam), abs(got[1] - mu)) <= 1e-10 * max(1.0, abs(lam), abs(mu))
 
 
 @settings(FUZZ, max_examples=15)

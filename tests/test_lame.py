@@ -5,12 +5,14 @@ import zlib
 import numpy as np
 import pytest
 
+from stretchlab.compose import augment_volumetric, combine, decompose
 from stretchlab.errors import (
     InvalidParameterError,
     RestInstabilityError,
     UnreachableTargetError,
 )
 from stretchlab.fd import fd_hessian
+from stretchlab.fem import assemble, generate_mesh, rel_frobenius_diff
 from stretchlab.filtering import filter_nonlinearity
 from stretchlab.lame import (
     FD_REST_POINTS,
@@ -233,10 +235,13 @@ NORMALIZABLE = (
 
 @pytest.mark.parametrize("family", NORMALIZABLE)
 def test_normalize_round_trip(family):
-    target = moduli_to_lame(IsotropicModuli(2.5e5, 0.3))
+    # rest-stable Mooney-Rivlin (c2 = -c1/2) has lambda_lame = 2/3 mu_lame: nu = 0.2 only
+    nu = 0.2 if family == "mooney_rivlin" else 0.3
+    target = moduli_to_lame(IsotropicModuli(2.5e5, nu))
     params = normalize(family, target)
     m = make_material(family, params)
-    got = extract_lame(m, method="analytic", allow_rest_stress=True)
+    assert m.rest_stable
+    got = extract_lame(m, method="analytic")
     scale = max(abs(target.lambda_lame), abs(target.mu_lame))
     assert abs(got.lambda_lame - target.lambda_lame) < 1e-10 * scale
     assert abs(got.mu_lame - target.mu_lame) < 1e-10 * scale
@@ -245,12 +250,18 @@ def test_normalize_round_trip(family):
 @pytest.mark.parametrize("family", catalog_families())
 def test_normalize_round_trip_from_draws(family):
     # every row's inverse reproduces its own closed form, holding the draw's
-    # extra parameters (zero-lambda and parameterless families included)
+    # extra parameters (zero-lambda and parameterless families included);
+    # the pair of a rest-stressed draw is reached only with a rest stress
     rng = np.random.default_rng(1)
     for rest_stable in (False, True):
         draw = sample_params(family, rng, rest_stable=rest_stable)
-        lam, mu = make_material(family, draw).lame_closed_form()
+        model = make_material(family, draw)
+        lam, mu = model.lame_closed_form()
         if mu <= 0.0:
+            continue
+        if not model.rest_stable:
+            with pytest.raises(UnreachableTargetError, match="rest stress"):
+                normalize(family, LameParams(lam, mu), baseline=draw)
             continue
         params = normalize(family, LameParams(lam, mu), baseline=draw)
         got = make_material(family, params).lame_closed_form()
@@ -283,6 +294,44 @@ def test_normalize_zero_poisson_reaches_pure_shear_families():
     got = extract_lame(m)
     assert got.mu_lame == pytest.approx(1.0, rel=1e-10)
     assert abs(got.lambda_lame) < 1e-10
+
+
+def rest_lame_cases(E, nu):
+    """Materials whose Lame pair is that of (E, nu): every family normalize
+    reaches, ARAP with a volumetric part, the SVK mu-part of the ``modes``
+    workload with the (J-1)^2/2 part, and Hencky's two parts filtered at
+    0.5 (mu) and 3 (lambda)."""
+    target = moduli_to_lame(IsotropicModuli(E, nu))
+    cases = {}
+    for family in catalog_families():
+        try:
+            cases[family] = make_material(family, normalize(family, target))
+        except UnreachableTargetError:
+            pass
+    cases["augmented arap"] = augment_volumetric(make_material("arap"), target)
+    cases["modes svk"] = build_material({"combine": {
+        "mu_part": {"family": "st_venant_kirchhoff", "params": {"mu": 1.0, "lam": 1.0}},
+        "lambda_part": "j_minus_1_sq", "E": E, "nu": nu, "alpha_mu": 2.0,
+    }})
+    lam_part, mu_part = decompose("hencky", {"mu": 1.0, "lam": 1.0})
+    cases["hencky parts"] = combine(mu_part, lam_part, target, alpha_mu=0.5, alpha_lambda=3.0)
+    return cases
+
+
+@pytest.mark.parametrize("nu, count", [(0.0, 19), (0.2, 17), (0.3, 16)])
+def test_rest_stiffness_is_the_corotational_one_at_the_lame_pair(nu, count):
+    # the Lame pair at the FEM level: on a beam, a material's rest stiffness
+    # equals Linear Corotational's at its pair, within the modes gate
+    target = moduli_to_lame(IsotropicModuli(1e5, nu))
+    mesh = generate_mesh("beam", 2)
+    coro = make_material(
+        "linear_corotational", {"mu": target.mu_lame, "lam": target.lambda_lame}
+    )
+    K = assemble(mesh, coro).stiffness.toarray()
+    diffs = {name: rel_frobenius_diff(K, assemble(mesh, model).stiffness.toarray())
+             for name, model in rest_lame_cases(1e5, nu).items()}
+    assert len(diffs) == count
+    assert all(d <= 1e-12 for d in diffs.values()), diffs
 
 
 def test_pk1_linearize_fixed_point():

@@ -48,6 +48,24 @@ CASES = {
         lambda: normalize("ogden", LameParams(0.0, 1.0), baseline={"terms": [[1.0, 1.0]]}),
         UnreachableTargetError, "baseline ogden terms have zero mu_lame",
     ),
+    # c2 = -(3 lambda + 8 mu) / 20 = -c1/2 only at lambda = 2/3 mu
+    "normalize:mooney_rivlin off nu = 0.2": (
+        lambda: normalize("mooney_rivlin", LameParams(1.5, 1.0)),
+        UnreachableTargetError,
+        "mooney_rivlin reaches (lambda_lame, mu_lame) = (1.5, 1.0) only with a rest stress: "
+        "the gradient of {'c1': 1.0, 'c2': -0.625} at (1, 1, 1) is nonzero",
+    ),
+    "normalize:rest-stressed ogden baseline": (
+        lambda: normalize("ogden", LameParams(0.0, 1.0), baseline={"terms": [[1.0, 3.0]]}),
+        UnreachableTargetError,
+        "ogden reaches (lambda_lame, mu_lame) = (0.0, 1.0) only with a rest stress: "
+        "the gradient of {'terms': [[1.0, 3.0]]} at (1, 1, 1) is nonzero",
+    ),
+    "normalize:baseline profile off the Hill contract": (
+        lambda: normalize("hill", LameParams(1.0, 1.0), baseline={"f": "stretch_well"}),
+        InvalidParameterError,
+        "hill: profile 'stretch_well' violates the Hill contract f(1)=0, f'(1)=1",
+    ),
     "profile:power:0": (
         lambda: get_profile("power:0"),
         InvalidParameterError, "power profile exponent must be nonzero",
