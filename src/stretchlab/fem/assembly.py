@@ -17,29 +17,28 @@ projection the Newton solver uses.
 ``assemble`` and ``total_energy`` work in one array pass over all tets:
 F for every element from one batched product with the precomputed Bm,
 one ``decompose`` per element, then one material evaluation on the
-(m, 3) stack of stretches, one (m, 9, 9) dP/dF build, the element forces
--vol G^T vec(P) and stiffnesses vol G^T dPdF G as batched products, and a
-scatter with ``np.bincount`` over index tables that ``ElementBasis``
-computes once per mesh: every function here reads the mesh's own
-``basis``, built on first use.
+(m, 3) stack of stretches and one (m, 9, 9) dP/dF build. With the
+shape-function gradients w of F_ab = sum_n x_na w_nb (Sifakis & Barbic
+2012), vertex n of a tet gets the force -vol P w_n, and its stiffness
+block (n, k) is vol sum_bd w_nb dP/dF[ab, cd] w_kd.
 
 Without positions the configuration is the rest shape, where F = I for
 every element. Its decomposition is then exact, U = V = I and
 sigma = (1, 1, 1), not the SVD of Ds Bm, which is I only up to roundoff.
 It is a stack of one that broadcasts over the elements: the material and
-dP/dF are evaluated once, and only the G^T products and the scatter run
-per element.
+dP/dF are evaluated once, and only the products with w and the scatter
+run per element.
 
 The global stiffness is never dense. It is a ``BlockSparseMatrix`` of
 3x3 blocks in BSR layout, one block per pair of vertices that share a
-tet. ``ElementBasis`` finds that pattern with one ``np.unique`` over the
-16 vertex pairs of every tet and keeps, for each of the 144 entries of
-every element stiffness, its slot among the block values. The scatter
-adds the element entries into those slots in element order, which is the
-order a dense scatter adds them in, so every stored entry is
-bit-identical to the dense K. The container is numpy only: ``modes``
-hands its arrays to ``scipy.sparse``, and the Newton solve densifies it,
-without importing scipy on the ``stretch-test`` path.
+tet, found once per mesh by ``ElementBasis``, the mesh's ``basis``. For
+each entry (p, q) of a block, one product gives that entry of the 16
+blocks of every element, and one ``np.bincount`` adds them into the block
+values. dP/dF is symmetrized first, and every block is then added to the
+transpose of its mirror block, so K[i, j] and K[j, i] are one sum of the
+same two numbers: K is exactly symmetric. The container is numpy only:
+``modes`` hands its arrays to ``scipy.sparse``, and the Newton solve
+densifies it, without importing scipy on the ``stretch-test`` path.
 """
 
 import math
@@ -117,14 +116,16 @@ class ElementBasis:
         The mesh's tet vertex indices.
     Bm : (m, 3, 3) ndarray
         Inverse rest edge matrices.
-    G : (m, 9, 12) ndarray
-        d vec(F) / d(element coordinates), row-major vec, coordinates in
-        the order of the element's vertices.
-    dofs : (m, 12) ndarray
-        Global coordinate index of each element coordinate.
+    w : (m, 4, 3) ndarray
+        Shape-function gradients: w[e, n, b] = dF_ab / dx_na for every a,
+        with n the element's vertices in order.
     indices, indptr : ndarray
         Block pattern of the stiffness in BSR layout: one 3x3 block per
         pair of vertices that share a tet, block columns sorted per row.
+    block : (m, 16) ndarray
+        The block of each vertex pair (n, k) of each element, at 4n + k.
+    mirror : (nb,) ndarray
+        For the block of vertices (a, b), the block of (b, a).
     volumes : (m,) ndarray
         Rest volumes.
     mass : (3n,) ndarray
@@ -133,35 +134,21 @@ class ElementBasis:
 
     def __init__(self, mesh):
         self.tets = tets = mesh.tets
-        m = mesh.num_tets
         nv = mesh.num_vertices
         self.volumes = mesh.rest_volumes
         self.Bm = np.linalg.inv(edge_matrices(mesh.vertices, tets))
         # F_ab = sum_n x_{n,a} w_{n,b}: vertex 0 weighs minus the column sums of Bm
-        w = np.concatenate([-self.Bm.sum(axis=1, keepdims=True), self.Bm], axis=1)
-        # G[e, a, b, n, c] = w[e, n, b] if a == c else 0
-        G = np.zeros((m, 3, 3, 4, 3))
-        for a in range(3):
-            G[:, a, :, :, a] = w.swapaxes(1, 2)
-        self.G = G.reshape(m, 9, 12)
-        self.dofs = (3 * tets[:, :, None] + np.arange(3)).reshape(m, 12)
+        self.w = np.concatenate([-self.Bm.sum(axis=1, keepdims=True), self.Bm], axis=1)
         # the vertex pairs (a, b) of every tet, as row-major keys a * nv + b;
         # sorted unique keys are the blocks in BSR order
         keys, block = np.unique(
             (tets[:, :, None] * nv + tets[:, None, :]).ravel(), return_inverse=True
         )
-        self.indices = keys % nv
-        self.indptr = np.searchsorted(keys // nv, np.arange(nv + 1))
-        # slot of element entry (3a + p, 3b + q) among the block values: 9 block + 3p + q
-        self._stiffness_slot = (
-            9 * block.reshape(m, 4, 1, 4, 1) + 3 * np.arange(3)[:, None, None] + np.arange(3)
-        ).ravel()
+        self.block = block.reshape(-1, 16)
+        rows, self.indices = np.divmod(keys, nv)
+        self.indptr = np.searchsorted(rows, np.arange(nv + 1))
+        self.mirror = np.searchsorted(keys, self.indices * nv + rows)
         self.mass = lumped_mass(mesh)
-
-    def deformation_gradients(self, positions):
-        """F = Ds Bm of every element, (m, 3, 3), at vertex positions (n, 3)."""
-        positions = np.asarray(positions, dtype=float)
-        return edge_matrices(positions, self.tets) @ self.Bm
 
     def element_svds(self, positions):
         """Rotation-variant SVDs of every element, stacked along a leading axis.
@@ -172,7 +159,8 @@ class ElementBasis:
         if positions is None:
             eye = np.eye(3)[None]
             return RotationVariantSVD(U=eye, V=eye, sigma=np.ones((1, 3)))
-        parts = [decompose(F) for F in self.deformation_gradients(positions)]
+        Ds = edge_matrices(np.asarray(positions, dtype=float), self.tets)
+        parts = [decompose(F) for F in Ds @ self.Bm]
         return RotationVariantSVD(
             U=np.stack([p.U for p in parts]),
             V=np.stack([p.V for p in parts]),
@@ -286,21 +274,25 @@ def assemble(mesh, material, positions=None, project=False):
     ok = np.isfinite(g).all(axis=-1) & np.isfinite(H).all(axis=(-2, -1))
     if not ok.all():
         raise InvertedElementError(int(np.argmin(ok)), f"{material.family}: stress not finite")
-    vol = basis.volumes
-    G = basis.G
-    Gt = G.swapaxes(1, 2)
-    P = assemble_pk1(svd, g).reshape(-1, 9, 1)
-    fe = -vol[:, None] * (Gt @ P)[..., 0]
-    Ke = Gt @ stress_jacobian_from_svd(svd, g, H, project=project) @ G
-    # symmetric element matrices give an exactly symmetric K: bincount adds
-    # K[i, j] and K[j, i] from the same values in the same element order
+    vol, w = basis.volumes, basis.w
+    A = stress_jacobian_from_svd(svd, g, H, project=project)
     # not in place: an add into its own transpose makes numpy copy the input first
-    Ke = Ke + Ke.swapaxes(1, 2)
-    Ke *= 0.5 * vol[:, None, None]
-    force = np.bincount(basis.dofs.ravel(), weights=fe.ravel(), minlength=ndof)
-    nb = len(basis.indices)
-    K = np.bincount(basis._stiffness_slot, weights=Ke.ravel(), minlength=9 * nb)
-    K = BlockSparseMatrix(K.reshape(nb, 3, 3), basis.indices, basis.indptr, (ndof, ndof))
+    A = A + A.swapaxes(1, 2)
+    # Y[e, p, b, q, k] = sum_d A[e, 3p + b, 3q + d] w[e, k, d]
+    Y = (A.reshape(-1, 27, 3) @ w.swapaxes(1, 2)).reshape(-1, 3, 3, 3, 4)
+    # A + A^T and the mirror sum each double K; vol scales the products, so
+    # an entry of w A w^T out of float range stays inf
+    scale = 0.25 * vol[:, None, None]
+    K = np.empty((len(basis.indices), 3, 3))
+    for p, q in np.ndindex(3, 3):
+        Ke = w @ Y[:, p, :, q, :]  # entry (p, q) of the 16 blocks of every element
+        Ke *= scale
+        K[:, p, q] = np.bincount(basis.block.ravel(), weights=Ke.ravel(), minlength=len(K))
+    K += K[basis.mirror].swapaxes(1, 2)
+    K = BlockSparseMatrix(K, basis.indices, basis.indptr, (ndof, ndof))
+    fe = -vol[:, None, None] * (w @ assemble_pk1(svd, g).swapaxes(1, 2))
+    dofs = 3 * basis.tets[:, :, None] + np.arange(3)
+    force = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=ndof)
     return SystemMatrices(
         force=force, stiffness=K, energy=float(vol @ np.broadcast_to(psi, vol.shape))
     )

@@ -104,14 +104,10 @@ class BoundaryCondition:
             raise ValueError("constrained vertex set must be nonempty")
         if self.positions.shape != (len(self.vertices), 3):
             raise ValueError("prescribed positions must be (k, 3) matching the vertex set")
-        if self.coords is None:
-            object.__setattr__(
-                self, "coords", np.ones((len(self.vertices), 3), dtype=bool)
-            )
-        else:
-            object.__setattr__(self, "coords", np.asarray(self.coords, dtype=bool))
-            if self.coords.shape != (len(self.vertices), 3):
-                raise ValueError("coords mask must be (k, 3) matching the vertex set")
+        coords = np.ones((len(self.vertices), 3)) if self.coords is None else self.coords
+        object.__setattr__(self, "coords", np.asarray(coords, dtype=bool))
+        if self.coords.shape != (len(self.vertices), 3):
+            raise ValueError("coords mask must be (k, 3) matching the vertex set")
 
     def apply(self, positions):
         """Write the prescribed coordinates into a position array."""

@@ -14,14 +14,15 @@ repeated calls bit-identical.
 The factorization is the envelope method for sparse positive definite
 systems (George & Liu, *Computer Solution of Large Sparse Positive
 Definite Systems*, 1981): the reverse Cuthill-McKee ordering P gathers
-the entries of P A P^T into a narrow band about the diagonal, whose upper
-half LAPACK's band Cholesky ``dpbtrf`` factors as U^T U in place, and a
-solve is the two triangular band sweeps of ``dpbtrs``. The band of a mesh
-is much narrower than its coordinate count (114 of 2,160 on the beam at
-n=5), so factor and solve cost O(n b^2) and O(n b) with no fill outside
-the band. ARPACK works on P A P^T throughout: the permutation leaves the
-eigenvalues unchanged, and the start vector of ones is the same in every
-order.
+the entries of P A P^T into a narrow band about the diagonal, whose
+upper half LAPACK's band Cholesky ``dpbtrf`` factors as U^T U. The band
+is built in Fortran order, so the factor overwrites it with no copy, and
+the sparse forms of K are released first. A solve is the two triangular
+band sweeps of ``dpbtrs``. The band of a mesh is much narrower than its
+coordinate count (114 of 2,160 on the beam at n=5), so factor and solve
+cost O(n b^2) and O(n b) with no fill outside the band. ARPACK works on
+P A P^T throughout: the permutation leaves the eigenvalues unchanged,
+and the start vector of ones is the same in every order.
 
 The rest stiffness on the free coordinates must be positive definite.
 ``dpbtrf`` is the first check: it stops at the first leading minor that
@@ -96,12 +97,14 @@ def modal_frequencies(mesh, material, bc, k):
     perm = reverse_cuthill_mckee(K, symmetric_mode=True)
     inv_sqrt_m = sparse.diags(1.0 / np.sqrt(mesh.basis.mass[free[perm]]))
     A = inv_sqrt_m @ K[perm][:, perm] @ inv_sqrt_m  # P A P^T
+    del S, K
     upper = sparse.triu(A, format="coo")
     b = int((upper.col - upper.row).max(initial=0))  # 0 for an all-zero stiffness
-    band = np.zeros((b + 1, n))
+    band = np.zeros((b + 1, n), order="F")  # Fortran order: dpbtrf factors it in place
     band[b + upper.row - upper.col, upper.col] = upper.data
+    del upper
     tol = n * np.finfo(float).eps * band[b].max()
-    factor, info = dpbtrf(band)
+    factor, info = dpbtrf(band, overwrite_ab=1)
     if info == 0 and np.isfinite(factor).all():
         solve = LinearOperator(A.shape, matvec=lambda x: dpbtrs(factor, x)[0], dtype=float)
         w = np.sort(eigsh(

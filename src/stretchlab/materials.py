@@ -599,14 +599,22 @@ def _row(family):
 
 
 def _record(family, params, what):
-    """A copy of a parameter mapping; None is the empty record."""
+    """A copy of a parameter mapping (None is empty) that holds no boolean."""
     if params is None:
         return {}
     if not isinstance(params, Mapping):
         raise InvalidParameterError(
             f"{family}: {what} must be an object, got {type(params).__name__}"
         )
+    for key, value in params.items():
+        if _holds_bool(value):
+            raise InvalidParameterError(f"{family}: {key} must hold numbers, not booleans")
     return dict(params)
+
+
+def _holds_bool(value):
+    nested = isinstance(value, (list, tuple)) and any(map(_holds_bool, value))
+    return nested or isinstance(value, (bool, np.bool_))
 
 
 def make_material(family, params=None):

@@ -108,12 +108,28 @@ def check_json(argv):
     return code, err
 
 
+def holds_bool(value):
+    """Whether a JSON value holds true or false at any depth."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or isinstance(value, list) and any(map(holds_bool, value))
+
+
 @settings(FUZZ, max_examples=60)
-@given(family=FAMILIES, data=st.data(), fd=st.booleans())
-@example(family="symmetric_arap", data=None, fd=False).via("the overflowing fd extraction")
-def test_lame_fuzz(family, data, fd):
-    record = {"mu": 1e308} if data is None else data.draw(params(family))
-    check_json(["lame", "--family", family, "--params", json.dumps(record)] + ["--fd"] * fd)
+@given(family=FAMILIES, data=st.data(), fd=st.booleans(), record=st.none())
+@example(family="symmetric_arap", data=None, fd=False, record={"mu": 1e308}).via(
+    "the overflowing fd extraction"
+)
+@example(family="hencky", data=None, fd=False, record={"mu": True, "lam": 1}).via(
+    "a JSON true for a number"
+)
+def test_lame_fuzz(family, data, fd, record):
+    if record is None:
+        record = data.draw(params(family))
+    argv = ["lame", "--family", family, "--params", json.dumps(record)] + ["--fd"] * fd
+    code, _ = check_json(argv)
+    # float(True) is 1.0, so a boolean must be rejected before any conversion
+    assert code == 2 or not holds_bool(record)
 
 
 @settings(FUZZ, max_examples=60)
@@ -139,6 +155,9 @@ def test_lame_fuzz(family, data, fd):
 @example(family="valanis_landel_xu", E=1.0, nu=0.3, data=None, baseline={"g": "log"}).via(
     "a held pair profile off the well contract"
 )
+@example(family="seth_hill", E=1.0, nu=0.3, data=None, baseline={"alpha": True}).via(
+    "a held exponent of JSON true"
+)
 @example(family="mooney_rivlin", E=1.0, nu=0.3, data=None, baseline=None).via(
     "a Mooney-Rivlin pair off nu = 0.2, reached only with a rest stress"
 )
@@ -153,6 +172,7 @@ def test_normalize_fuzz(family, E, nu, data, baseline):
     if baseline is not None:
         argv += ["--params", json.dumps(baseline)]
     code, out, _ = run(argv)
+    assert code == 2 or not holds_bool(baseline)
     if code != 0:
         return
     # the printed record builds a rest-stable model at the printed pair

@@ -66,6 +66,19 @@ CASES = {
         InvalidParameterError,
         "hill: profile 'stretch_well' violates the Hill contract f(1)=0, f'(1)=1",
     ),
+    # float(True) is 1.0: a JSON true must not pass for a number
+    "hencky:boolean parameter": (
+        lambda: make_material("hencky", {"mu": True, "lam": 1}),
+        InvalidParameterError, "hencky: mu must hold numbers, not booleans",
+    ),
+    "ogden:boolean in a term": (
+        lambda: make_material("ogden", {"terms": [[1.0, 2.0], [False, -2.0]]}),
+        InvalidParameterError, "ogden: terms must hold numbers, not booleans",
+    ),
+    "normalize:boolean baseline": (
+        lambda: normalize("seth_hill", LameParams(1.0, 1.0), baseline={"alpha": True}),
+        InvalidParameterError, "seth_hill: alpha must hold numbers, not booleans",
+    ),
     "profile:power:0": (
         lambda: get_profile("power:0"),
         InvalidParameterError, "power profile exponent must be nonzero",
