@@ -19,8 +19,18 @@ import stretchlab.fem.solver
 import stretchlab.specs
 from stretchlab.cli import build_parser, main
 from stretchlab.errors import ConvergenceError, InvertedElementError
-from stretchlab.fem import ElementBasis, assemble, generate_mesh, rel_frobenius_diff, stretch_curve
-from stretchlab.fem.solver import _initial_guess
+from stretchlab.fem import (
+    BoundaryCondition,
+    ElementBasis,
+    assemble,
+    face_vertices,
+    generate_mesh,
+    rel_frobenius_diff,
+    solve_quasistatic,
+    stretch_curve,
+)
+from stretchlab.fem.assembly import free_dof_indices
+from stretchlab.fem.solver import _initial_guess, _tangent
 from stretchlab.lame import extract_lame, verify_table
 from stretchlab.materials import MaterialModel, catalog_families, make_material, sample_params
 
@@ -477,7 +487,7 @@ def test_initial_guess_extrapolates_or_scales():
         out[:, 0] *= factor
         return out
 
-    path = [(1.0, rest), (1.1, moved)]
+    path = [(1.0, rest, None), (1.1, moved, None)]
     assert np.all(dets(moved) > 0.0)
     # a short step extrapolates the secant
     guess = _initial_guess(mesh.tets, path, 1.2)
@@ -487,8 +497,73 @@ def test_initial_guess_extrapolates_or_scales():
     assert np.array_equal(_initial_guess(mesh.tets, path, 3.1), scaled(moved, 3.1 / 1.1))
     # one point, or two at one distance, scale the last one
     assert np.array_equal(_initial_guess(mesh.tets, path[:1], 0.5), scaled(rest, 0.5))
-    same = [(1.1, rest), (1.1, moved)]
+    same = [(1.1, rest, None), (1.1, moved, None)]
     assert np.array_equal(_initial_guess(mesh.tets, same, 1.1), moved)
+    # a tangent on only one of the two points leaves the secant
+    one = [(1.0, rest, None), (1.1, moved, np.ones_like(rest))]
+    assert np.array_equal(_initial_guess(mesh.tets, one, 1.2), guess)
+
+
+def test_initial_guess_reproduces_a_cubic_path():
+    # x(d) = X diag(d, 1, 1) + (d - 1)^3 V + (d - 1)^2 W: the Hermite predictor through two
+    # points and their tangents is exact (worst 8.9e-16), the secant is not
+    mesh = generate_mesh("cube", 2)
+    rng = np.random.default_rng(3)
+    V, W = 0.02 * rng.standard_normal((2, *mesh.vertices.shape))
+
+    def x(d):
+        out = mesh.vertices.copy()
+        out[:, 0] *= d
+        return out + (d - 1.0) ** 3 * V + (d - 1.0) ** 2 * W
+
+    def dx(d):
+        out = np.zeros_like(mesh.vertices)
+        out[:, 0] = mesh.vertices[:, 0]
+        return out + 3.0 * (d - 1.0) ** 2 * V + 2.0 * (d - 1.0) * W
+
+    path = [(1.1, x(1.1), dx(1.1)), (1.2, x(1.2), dx(1.2))]
+    for d in (1.25, 1.3, 1.15):
+        guess = _initial_guess(mesh.tets, path, d)
+        assert np.max(np.abs(guess - x(d))) <= 1e-14, d
+    secant = [(p[0], p[1], None) for p in path]
+    assert np.max(np.abs(_initial_guess(mesh.tets, secant, 1.3) - x(1.3))) > 1e-4
+
+
+@pytest.mark.parametrize("d", (0.8, 1.5))
+def test_tangent_matches_central_difference_of_solutions(d):
+    # the tangent of a clamped converged state against (x(d + h) - x(d - h)) / 2h; at
+    # h = 1e-2 the difference is truncation error, 3.0e-5 (d = 0.8) and 3.4e-6 (d = 1.5)
+    # of max |t| = 1, while the projected stiffness would give 1.6e-2 and 3.9e-4
+    model = make_material("stable_neo_hookean", {"mu": 1e5, "lam": 4e5})
+    mesh = generate_mesh("cube", 2)
+    left, right = face_vertices(mesh, 0, 0.0), face_vertices(mesh, 0, 1.0)
+    verts = np.concatenate([left, right])
+
+    def solve(dist, x0):
+        pos = mesh.vertices[verts].copy()
+        pos[len(left):, 0] += dist - 1.0
+        bc = BoundaryCondition(vertices=verts, positions=pos)
+        return solve_quasistatic(mesh, model, bc, x0=x0), free_dof_indices(mesh, bc)
+
+    start = mesh.vertices.copy()
+    start[:, 0] *= d
+    result, free = solve(d, start)
+    t = _tangent(result, free, 3 * right)
+    assert np.array_equal(t[right, 0], np.ones(len(right))) and not t[left].any()
+    h = 1e-2
+    central = (solve(d + h, result.positions)[0].positions
+               - solve(d - h, result.positions)[0].positions) / (2.0 * h)
+    assert np.max(np.abs(t - central)) <= 1e-4
+
+
+def test_slide_curve_takes_no_tangent(monkeypatch):
+    # the rigid modes that slide leaves free make K_ff singular: the curve keeps the secant
+    model = make_material("stable_neo_hookean", {"mu": 1e5, "lam": 4e5})
+    distances = [0.9, 1.05, 1.2, 1.35, 1.5]
+    want = stretch_curve(model, 2, distances, slide=True)
+    monkeypatch.setattr(stretchlab.fem.solver, "_tangent", lambda *args: None)
+    rows, skipped = stretch_curve(model, 2, distances, slide=True)
+    assert rows == want[0] and len(rows) == len(distances) and not skipped
 
 
 def test_stretch_test_rejects_bad_range(capsys, tmp_path):

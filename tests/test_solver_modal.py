@@ -299,6 +299,25 @@ def test_modal_frequencies_match_dense_oracle(kind, n, spec):
     assert np.max(np.abs(got - want) / want) < 1e-9
 
 
+@pytest.mark.parametrize("spec", sorted(MODES_SPECS))
+def test_modal_frequencies_with_a_partial_clamp_match_dense_oracle(spec):
+    # the left face clamped, the right face held only in y and z: a coords mask
+    mesh = generate_mesh("beam", 2)
+    model = build_material(MODES_SPECS[spec])
+    left, right = face(mesh, 0, 0.0), face(mesh, 0, 1.0)
+    verts = np.concatenate([left, right])
+    coords = np.ones((len(verts), 3), dtype=bool)
+    coords[len(left):, 0] = False
+    bc = BoundaryCondition(vertices=verts, positions=mesh.vertices[verts], coords=coords)
+    got = modal_frequencies(mesh, model, bc, 6)
+    want = dense_frequencies(mesh, model, bc, 6)
+    assert np.max(np.abs(got - want) / want) < 1e-9
+    # the mask frees the right face's x: higher than the left clamp alone, lower than both
+    assert np.all(got > modal_frequencies(mesh, model, clamp_left_face(mesh), 6))
+    full = BoundaryCondition(vertices=verts, positions=mesh.vertices[verts])
+    assert np.all(got < modal_frequencies(mesh, model, full, 6))
+
+
 def test_modal_frequencies_repeat_bit_identical():
     mesh = generate_mesh("beam", 2)
     model = build_material(MODES_SPECS["combine"])
