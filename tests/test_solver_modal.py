@@ -144,6 +144,28 @@ def test_warm_start_reduces_iterations():
     assert warm.iterations == 0
 
 
+@pytest.mark.parametrize("d", (0.8, 1.5))
+def test_tangent_matches_central_difference_of_solutions(d):
+    # the path tangent dx/dd of a clamped converged state against
+    # (x(d + h) - x(d - h)) / 2h; at h = 1e-2 the difference is truncation error,
+    # 3.0e-5 (d = 0.8) and 3.4e-6 (d = 1.5) of max |t| = 1, while the projected
+    # stiffness would give 1.6e-2 and 3.9e-4
+    mesh = generate_mesh("cube", 2)
+    model = make_material(*SNH)
+    bc, left, right = clamp_both_x_faces(mesh, d)
+    start = mesh.vertices.copy()
+    start[:, 0] *= d
+    result = solve_quasistatic(mesh, model, bc, x0=start)
+    t = stretchlab.fem.solver._tangent(result, free_dof_indices(mesh, bc), 3 * right)
+    assert np.array_equal(t[right, 0], np.ones(len(right))) and not t[left].any()
+    h = 1e-2
+    plus, minus = (
+        solve_quasistatic(mesh, model, clamp_both_x_faces(mesh, d + s * h)[0], x0=result.positions)
+        for s in (1.0, -1.0)
+    )
+    assert np.max(np.abs(t - (plus.positions - minus.positions) / (2.0 * h))) <= 1e-4
+
+
 def test_convergence_error_carries_history(monkeypatch):
     mesh = generate_mesh("cube", 2)
     model = make_material(*SNH)
